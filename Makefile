@@ -3,7 +3,7 @@
 GO ?= go
 SHELL := /bin/bash
 
-.PHONY: help build test check bench bench-core bench-ingest bench-diff fmt vet rpvet vet-fix-check vet-sarif
+.PHONY: help build test check bench bench-core bench-ingest bench-diff perf fmt vet rpvet vet-fix-check vet-sarif
 
 help:
 	@echo "Targets:"
@@ -14,6 +14,7 @@ help:
 	@echo "  bench-core     core hot-path benchmarks; updates BENCH_core.json via cmd/benchfmt"
 	@echo "  bench-ingest   ingest-path benchmarks (parallel text parse, v1, v2 mapped); updates BENCH_ingest.json"
 	@echo "  bench-diff     fresh core-benchmark run vs BENCH_core.json, Mann-Whitney per benchmark (exit 1 on regression)"
+	@echo "  perf           end-to-end rpserved benchmark (cmd/rpperf): WORKLOAD=cold-sweep SEED=1 SECONDS=20 TRACE=0"
 	@echo "  fmt            gofmt -w ."
 	@echo "  vet            go vet ./..."
 	@echo "  rpvet          custom static-analysis passes"
@@ -34,9 +35,10 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
 # Tracked baseline for the internal/core hot path: run the micro-benchmarks
-# and refresh the committed JSON report.
+# and refresh the committed JSON report (count 10, enough samples for
+# rpbenchdiff's Mann-Whitney test to reach significance).
 bench-core:
-	set -o pipefail; $(GO) test -run '^$$' -bench . -benchmem -count 3 ./internal/core/ | $(GO) run ./cmd/benchfmt -out BENCH_core.json
+	set -o pipefail; $(GO) test -run '^$$' -bench . -benchmem -count 10 ./internal/core/ | $(GO) run ./cmd/benchfmt -out BENCH_core.json
 
 # Tracked baseline for the ingest path: sequential vs chunked-parallel text
 # parsing at several worker counts, plus the v1 decode and v2 mapped-view
@@ -52,6 +54,16 @@ bench-diff:
 	set -o pipefail; \
 	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) ./internal/core/ > /tmp/rpbenchdiff-new.txt; \
 	$(GO) run ./cmd/rpbenchdiff BENCH_core.json /tmp/rpbenchdiff-new.txt
+
+# The repository benchmark (cmd/rpperf, declared in BENCHMARK.json): builds
+# rpserved and rpperf from this checkout and drives one workload end to end.
+# TRACE=1 prints the per-layer breakdown instead of the end-to-end metrics.
+WORKLOAD ?= cold-sweep
+SEED ?= 1
+SECONDS ?= 20
+TRACE ?= 0
+perf:
+	bash cmd/rpperf/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds $(SECONDS) --trace $(TRACE)
 
 fmt:
 	gofmt -w .

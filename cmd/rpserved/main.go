@@ -210,7 +210,7 @@ func run(args []string, logDst io.Writer) error {
 	}
 	fmt.Fprintf(logw, "rpserved: listening on %s\n", ln.Addr())
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
@@ -238,6 +238,26 @@ func run(args []string, logDst io.Writer) error {
 	}
 	fmt.Fprintln(logw, "rpserved: stopped")
 	return logw.Err()
+}
+
+// Socket timeouts of the HTTP server. A client that opens a connection
+// must finish its request headers within readHeaderTimeout, and a
+// keep-alive connection is closed after idleTimeout without a request, so
+// slow or idle clients cannot hold connections open indefinitely. Bodies
+// and responses get no deadline here, because uploads stream large
+// datasets and a mine may run long; -mine-timeout bounds the latter.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the server rpserved listens with.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // splitPeers flattens repeatable -peers values, each possibly

@@ -204,3 +204,13 @@ func TestObservabilityWiring(t *testing.T) {
 type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+func TestHTTPServerBoundsSlowClients(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want positive", hs.ReadHeaderTimeout)
+	}
+	if hs.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want positive", hs.IdleTimeout)
+	}
+}

@@ -41,7 +41,7 @@ func DiscoverPeriods(ts []int64, w int64, spanFirst, spanLast int64) []Candidate
 	if len(ts) < 3 || spanLast <= spanFirst {
 		return nil
 	}
-	span := float64(spanLast - spanFirst + 1)
+	span := float64(uint64(spanLast)-uint64(spanFirst)) + 1
 	n := len(ts) - 1 // number of inter-arrival times
 	rate := float64(len(ts)) / span
 
@@ -49,13 +49,18 @@ func DiscoverPeriods(ts []int64, w int64, spanFirst, spanLast int64) []Candidate
 	gaps := make(map[int64]int)
 	maxGap := int64(0)
 	for i := 1; i < len(ts); i++ {
-		g := ts[i] - ts[i-1]
+		// Unsigned, so a gap wider than the int64 range cannot wrap;
+		// such a gap exceeds every period considered below.
+		g := int64(math.MaxInt64)
+		if d := uint64(ts[i]) - uint64(ts[i-1]); d < math.MaxInt64 {
+			g = int64(d)
+		}
 		gaps[g]++
 		if g > maxGap {
 			maxGap = g
 		}
 	}
-	half := (spanLast - spanFirst) / 2
+	half := int64((uint64(spanLast) - uint64(spanFirst)) / 2)
 	if maxGap > half {
 		maxGap = half
 	}

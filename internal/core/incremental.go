@@ -68,7 +68,7 @@ func (inc *Incremental) Append(ts int64, items ...string) error {
 			st.sup = 1
 			st.idl = ts
 			st.ps = 1
-		case ts-st.idl <= inc.o.Per:
+		case periodic(st.idl, ts, inc.o.Per):
 			st.sup++
 			st.ps++
 			st.idl = ts

@@ -16,6 +16,8 @@
 // All miners produce identical, canonically ordered results.
 package core
 
+import "math"
+
 // Interval is a periodic interval of a pattern (paper Definition 5): the
 // timestamp range [Start, End] of a maximal run of occurrences whose
 // consecutive inter-arrival times are all within the period, together with
@@ -24,6 +26,25 @@ package core
 type Interval struct {
 	Start, End int64
 	PS         int
+}
+
+// periodic reports whether the inter-arrival time from prev to next is at
+// most per (Definition 4). Timestamps are sorted, so next-prev is a
+// non-negative gap of up to 2^64-1; it is taken in uint64 because the
+// int64 difference wraps for gaps wider than the int64 range (a gap from
+// near math.MinInt64 to near math.MaxInt64 would come out small and
+// negative, and so "periodic"). per is positive, so its conversion is exact.
+func periodic(prev, next, per int64) bool {
+	return uint64(next)-uint64(prev) <= uint64(per)
+}
+
+// gap is next-prev for prev <= next, saturated at math.MaxInt64 instead of
+// wrapping when the true gap exceeds the int64 range.
+func gap(prev, next int64) int64 {
+	if d := uint64(next) - uint64(prev); d <= math.MaxInt64 {
+		return int64(d)
+	}
+	return math.MaxInt64
 }
 
 // Intervals partitions a sorted timestamp list into its periodic intervals:
@@ -41,7 +62,7 @@ func Intervals(ts []int64, per int64) []Interval {
 	start := ts[0]
 	ps := 1
 	for i := 1; i < len(ts); i++ {
-		if ts[i]-ts[i-1] <= per {
+		if periodic(ts[i-1], ts[i], per) {
 			ps++
 			continue
 		}
@@ -71,7 +92,7 @@ func Recurrence(ts []int64, per int64, minPS int) (rec int, ipi []Interval) {
 		}
 	}
 	for i := 1; i < len(ts); i++ {
-		if ts[i]-ts[i-1] <= per {
+		if periodic(ts[i-1], ts[i], per) {
 			ps++
 			continue
 		}
@@ -98,7 +119,7 @@ func Erec(ts []int64, per int64, minPS int) int {
 	erec := 0
 	ps := 1
 	for i := 1; i < len(ts); i++ {
-		if ts[i]-ts[i-1] <= per {
+		if periodic(ts[i-1], ts[i], per) {
 			ps++
 			continue
 		}
@@ -114,17 +135,18 @@ func Erec(ts []int64, per int64, minPS int) int {
 // spanLast. This is the periodicity measure of the periodic-frequent pattern
 // model (Tanbeer et al., PAKDD 2009) that the paper compares against in
 // Table 8; it lives here so the baseline and the tests share one definition.
+// A gap wider than the int64 range counts as math.MaxInt64.
 func MaxPeriodicity(ts []int64, spanFirst, spanLast int64) int64 {
 	if len(ts) == 0 {
-		return spanLast - spanFirst
+		return gap(spanFirst, spanLast)
 	}
-	max := ts[0] - spanFirst
+	max := gap(spanFirst, ts[0])
 	for i := 1; i < len(ts); i++ {
-		if d := ts[i] - ts[i-1]; d > max {
+		if d := gap(ts[i-1], ts[i]); d > max {
 			max = d
 		}
 	}
-	if d := spanLast - ts[len(ts)-1]; d > max {
+	if d := gap(ts[len(ts)-1], spanLast); d > max {
 		max = d
 	}
 	return max
@@ -137,7 +159,7 @@ func MaxPeriodicity(ts []int64, spanFirst, spanLast int64) int64 {
 func PeriodicAppearances(ts []int64, per int64) int {
 	n := 0
 	for i := 1; i < len(ts); i++ {
-		if ts[i]-ts[i-1] <= per {
+		if periodic(ts[i-1], ts[i], per) {
 			n++
 		}
 	}

@@ -20,11 +20,13 @@ import (
 // ts-list into many runs.
 
 // mergeScratch holds the reusable buffers of one miner: the run-view list,
-// the cascade's round scratch, a free list of timestamp buffers, and the
-// conditional-tree construction scratch. A zero value is ready to use. Not
-// safe for concurrent use; the parallel miner gives each worker its own.
-// conditionalTree never overlaps its own recursion (each call completes
-// before mining recurses), so one set of buffers per miner suffices.
+// the cascade's round scratch, a free list of timestamp buffers, the
+// conditional-tree construction scratch and the stack of handed-down
+// ts-lists. A zero value is ready to use. Not safe for concurrent use; the
+// parallel miner gives each worker its own. conditionalTree never overlaps
+// its own recursion (each call completes before mining recurses), so one
+// set of construction buffers per miner suffices; only held outlives a
+// call, under the mark/reset discipline described at tsStack.
 type mergeScratch struct {
 	runs  []run     // collected run views, reused per call
 	a, b  []run     // cascade round views, reused per call
@@ -32,14 +34,16 @@ type mergeScratch struct {
 	free  [][]int64 // timestamp buffer free list
 
 	// conditionalTree scratch (see rptree.go):
+	owner    []int32    // base path per tid of the current call
 	base     []basePath // base paths of the current call
 	rankBuf  []int32    // shared backing for the paths' ancestor ranks
 	sup      []int      // per-rank conditional support
-	cur      []int      // CSR offsets / fill cursors
-	pathIdx  []int32    // CSR payload: base-path indices per rank
+	cur      []int      // per-rank write cursors into held
+	ts       []int64    // timestamps of the list being checked
 	keep     []condKeep // items surviving the Erec check
 	condRank []int32    // tree rank -> conditional rank, or nilNode
 	path     []int32    // re-ranked path being inserted
+	held     tsStack    // lists handed down to conditional trees
 
 	// lc, when non-nil, is the owning miner's local trace batch: merge
 	// times a ts-merge observation per call and conditionalTree counts
@@ -50,6 +54,42 @@ type mergeScratch struct {
 
 // run is a view of one sorted segment of a node's ts-list.
 type run struct{ s []int64 }
+
+// tsStack holds the ts-lists that conditionalTree hands down to the
+// conditional tree it builds: the Section 4.2.3 temporary arrays of the
+// prefix items that passed the candidate check. The child tree's mineRank
+// reads TS^beta for conditional rank cr as list(child.held+cr) instead of
+// merging the same tids again with collectTS.
+//
+// Lists are appended to one backing and addressed by offset, so growing the
+// backing never invalidates a span. The stack follows the nodeArena
+// discipline: mineRank marks it before building a conditional tree and
+// resets it once that tree's recursion returns (or stops early), so a
+// child's lists live exactly as long as the child and steady-state mining
+// allocates nothing here.
+type tsStack struct {
+	buf   []int64  // concatenated lists
+	spans []tsSpan // buf offsets, one per list, per tree in conditional-rank order
+}
+
+// tsSpan locates one list in a tsStack's backing.
+type tsSpan struct{ lo, hi int }
+
+// tsMark is a tsStack position for a later reset.
+type tsMark struct{ buf, spans int }
+
+func (s *tsStack) mark() tsMark { return tsMark{len(s.buf), len(s.spans)} }
+
+func (s *tsStack) reset(m tsMark) {
+	s.buf, s.spans = s.buf[:m.buf], s.spans[:m.spans]
+}
+
+// list returns the i-th list. The view is read-only, with its capacity
+// capped so that appends cannot write over a neighbour.
+func (s *tsStack) list(i int) []int64 {
+	sp := s.spans[i]
+	return s.buf[sp.lo:sp.hi:sp.hi]
+}
 
 // getBuf hands out an empty timestamp buffer, reusing returned capacity.
 func (ms *mergeScratch) getBuf() []int64 {
@@ -68,6 +108,33 @@ func (ms *mergeScratch) putBuf(b []int64) {
 		return
 	}
 	ms.free = append(ms.free, b[:0])
+}
+
+// putBufs returns every buffer of bs to the free list and clears bs.
+func (ms *mergeScratch) putBufs(bs [][]int64) {
+	for _, b := range bs {
+		ms.putBuf(b)
+	}
+	clear(bs)
+}
+
+// union returns the sorted union of sorted lists. A lone non-empty list is
+// returned as is (pooled false); otherwise the lists are merged into a
+// pooled buffer the caller returns with putBuf.
+func (ms *mergeScratch) union(lists [][]int64) (ts []int64, pooled bool) {
+	runs, total := ms.runs[:0], 0
+	for _, l := range lists {
+		if len(l) > 0 {
+			runs = append(runs, run{l})
+			total += len(l)
+		}
+	}
+	if len(runs) == 1 {
+		ms.runs = runs[:0]
+		return runs[0].s, false
+	}
+	ms.runs = runs
+	return ms.merge(slices.Grow(ms.getBuf(), total)), true
 }
 
 // appendRunViews splits a run-tracked ts-list (ts plus the run boundaries of

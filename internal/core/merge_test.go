@@ -127,8 +127,8 @@ func TestAppendRunCoalescesAscending(t *testing.T) {
 	if len(n.runs) != 1 || n.runs[0] != 4 {
 		t.Fatalf("descending append bounds = %v, want [4]", n.runs)
 	}
-	if !reflect.DeepEqual(n.ts, []int64{1, 3, 5, 8, 2, 9}) {
-		t.Fatalf("ts = %v", n.ts)
+	if !reflect.DeepEqual(n.tids, []int64{1, 3, 5, 8, 2, 9}) {
+		t.Fatalf("tids = %v", n.tids)
 	}
 }
 

@@ -106,6 +106,7 @@ type miner struct {
 	cancelled bool               // set once done fired (distinguishes fn stop)
 	arena     nodeArena          // conditional-tree slab
 	ms        mergeScratch
+	nodeTS    [][]int64 // subtree mode: per-node lists of the current rank
 
 	// tr is the run's shared phase tracer (nil when untraced); lc batches
 	// this miner's observations between flushes, which happen once per
@@ -170,56 +171,56 @@ func (m *miner) taskLabel(item tsdb.ItemID) string {
 
 // mineRank evaluates the pattern beta = suffix + order[r] and recurses into
 // its conditional tree when the Erec bound allows supersets to recur. The
-// suffix timestamp list lives in a pooled buffer that is released before the
-// recursion, and the conditional tree is carved from the miner's arena and
-// reclaimed (reset) as soon as its subtree has been mined.
+// conditional tree is carved from the miner's arena, and the lists it was
+// handed from the miner's tsStack; both are reclaimed (reset) as soon as
+// its subtree has been mined.
+//
+// TS^beta comes from one of three places. A conditional tree was handed
+// its lists by conditionalTree, which already applied the candidate check.
+// In subtree mode each header node's subtree is merged once (collectNodeTS)
+// and TS^beta is their union. Otherwise (the initial tree, sequentially)
+// collectTS merges the node lists that push-ups have accumulated.
 func (m *miner) mineRank(t *rpTree, r int, suffix []tsdb.ItemID, depth int, subtree bool) {
-	ts := m.ms.getBuf()
-	if subtree {
-		runs := m.ms.runs[:0]
-		for n := t.headers[r]; n != nilNode; n = t.arena.nodes[n].link {
-			runs = t.appendSubtreeRuns(runs, n)
+	var tids []int64
+	var nodeTS [][]int64
+	pooled := true // tids is a pooled buffer to return once done
+	switch {
+	case t.held >= 0:
+		tids, pooled = m.ms.held.list(t.held+r), false
+	case subtree:
+		nodeTS = t.collectNodeTS(&m.ms, r, m.nodeTS[:0])
+		m.nodeTS = nodeTS
+		tids, pooled = m.ms.union(nodeTS)
+	default:
+		tids = t.collectTS(&m.ms, r, m.ms.getBuf())
+	}
+	release := func() {
+		if pooled {
+			m.ms.putBuf(tids)
 		}
-		m.ms.runs = runs
-		ts = m.ms.merge(ts)
-	} else {
-		ts = t.collectTS(&m.ms, r, ts)
+		m.ms.putBufs(nodeTS)
 	}
-	support := len(ts)
-	if support == 0 {
-		m.ms.putBuf(ts)
-		return
-	}
-	if m.o.candidateErec(ts) < m.o.MinRec {
-		if m.res != nil && m.o.CollectStats {
-			m.res.Stats.PatternsPruned++
-		}
-		if m.tr != nil {
-			m.lc.Observe(obs.PhasePrune, 0, 1)
-		}
-		m.ms.putBuf(ts)
-		return
-	}
-	if m.res != nil && m.o.CollectStats {
-		m.res.Stats.PatternsExamined++
-	}
-	rec, ipi := Recurrence(ts, m.o.Per, m.o.MinPS)
+	ts := gatherTS(m.ms.getBuf(), tids, t.tsOf)
+	rec, ipi, ok := m.examine(ts, t.held < 0)
 	m.ms.putBuf(ts)
+	if !ok {
+		release()
+		return
+	}
 
 	beta := make([]tsdb.ItemID, 0, len(suffix)+1)
 	beta = append(beta, suffix...)
 	beta = append(beta, t.order[r])
 	if rec >= m.o.MinRec {
-		m.emit(beta, support, rec, ipi)
-		if m.stop {
-			return
-		}
+		m.emit(beta, len(tids), rec, ipi)
 	}
-	if m.o.MaxLen > 0 && len(beta) >= m.o.MaxLen {
+	if m.stop || (m.o.MaxLen > 0 && len(beta) >= m.o.MaxLen) {
+		release()
 		return
 	}
-	mark := m.arena.mark()
-	cond := t.conditionalTree(&m.arena, &m.ms, m.o, r, subtree)
+	mark, held := m.arena.mark(), m.ms.held.mark()
+	cond := t.conditionalTree(&m.arena, &m.ms, m.o, r, tids, nodeTS)
+	release()
 	if cond != nil {
 		if m.res != nil && m.o.CollectStats {
 			m.res.Stats.TreeNodes += cond.nodes
@@ -227,6 +228,31 @@ func (m *miner) mineRank(t *rpTree, r int, suffix []tsdb.ItemID, depth int, subt
 		m.mineTree(cond, beta, depth+1)
 	}
 	m.arena.reset(mark)
+	m.ms.held.reset(held)
+}
+
+// examine applies the candidate check to TS^beta and, when it passes,
+// computes the recurrence (Algorithm 5). check is false for a handed-down
+// list, which passed the check in conditionalTree. ok is false when neither
+// beta nor any superset can recur.
+func (m *miner) examine(ts []int64, check bool) (rec int, ipi []Interval, ok bool) {
+	if len(ts) == 0 {
+		return 0, nil, false
+	}
+	if check && m.o.candidateErec(ts) < m.o.MinRec {
+		if m.res != nil && m.o.CollectStats {
+			m.res.Stats.PatternsPruned++
+		}
+		if m.tr != nil {
+			m.lc.Observe(obs.PhasePrune, 0, 1)
+		}
+		return 0, nil, false
+	}
+	if m.res != nil && m.o.CollectStats {
+		m.res.Stats.PatternsExamined++
+	}
+	rec, ipi = Recurrence(ts, m.o.Per, m.o.MinPS)
+	return rec, ipi, true
 }
 
 // emit delivers one recurring pattern to the miner's sink.

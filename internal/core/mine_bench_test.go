@@ -56,20 +56,67 @@ func BenchmarkCollectTS(b *testing.B) {
 	}
 }
 
+// BenchmarkConditionalTree measures subtree-mode construction, as the
+// parallel and shard miners run it: each rank's per-node subtree lists are
+// collected once, their union is TS^beta, and both go to conditionalTree.
 func BenchmarkConditionalTree(b *testing.B) {
 	o, tree := benchWorkload()
 	var arena nodeArena
 	var ms mergeScratch
+	var nodeTS [][]int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		built := 0
 		for r := len(tree.order) - 1; r >= 1; r-- {
-			mark := arena.mark()
-			if ct := tree.conditionalTree(&arena, &ms, o, r, true); ct != nil {
+			mark, held := arena.mark(), ms.held.mark()
+			nodeTS = tree.collectNodeTS(&ms, r, nodeTS[:0])
+			beta, pooled := ms.union(nodeTS)
+			if ct := tree.conditionalTree(&arena, &ms, o, r, beta, nodeTS); ct != nil {
+				built++
+			}
+			if pooled {
+				ms.putBuf(beta)
+			}
+			ms.putBufs(nodeTS)
+			arena.reset(mark)
+			ms.held.reset(held)
+		}
+		if built == 0 {
+			b.Fatal("no conditional trees built")
+		}
+	}
+}
+
+// BenchmarkConditionalTreeSequential measures the sequential miner's
+// construction: rank r's conditional tree is built from node lists after
+// the push-ups of every deeper rank. conditionalTree does not mutate the
+// tree it reads, so one pushed-up tree per rank, and its TS^beta, are
+// prepared outside the timer.
+func BenchmarkConditionalTreeSequential(b *testing.B) {
+	o, tree := benchWorkload()
+	pushed := make([]*rpTree, len(tree.order))
+	betas := make([][]int64, len(tree.order))
+	var ms mergeScratch
+	for r := len(tree.order) - 1; r >= 0; r-- {
+		_, t := benchWorkload()
+		for d := len(t.order) - 1; d > r; d-- {
+			t.pushUp(d)
+		}
+		pushed[r], betas[r] = t, t.collectTS(&ms, r, nil)
+	}
+	var arena nodeArena
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		built := 0
+		for r := len(tree.order) - 1; r >= 1; r-- {
+			mark, held := arena.mark(), ms.held.mark()
+			if ct := pushed[r].conditionalTree(&arena, &ms, o, r, betas[r], nil); ct != nil {
 				built++
 			}
 			arena.reset(mark)
+			ms.held.reset(held)
 		}
 		if built == 0 {
 			b.Fatal("no conditional trees built")

@@ -121,3 +121,15 @@ func (o Options) candidateErec(ts []int64) int {
 	}
 	return Erec(ts, o.Per, o.MinPS)
 }
+
+// supportMayRecur is the candidate check decided from a list's length
+// alone, before the list is built. Every timestamp lies in exactly one periodic
+// interval, so Erec = Σ⌊ps_i/MinPS⌋ ≤ ⌊support/MinPS⌋ and a list whose
+// support bound is below MinRec fails candidateErec. With pruning disabled
+// the length is the whole check, so a true result means it passes.
+func (o Options) supportMayRecur(support int) bool {
+	if o.DisableErecPruning {
+		return support >= o.MinPS
+	}
+	return support/o.MinPS >= o.MinRec
+}

@@ -64,7 +64,7 @@ func BuildRPList(db *tsdb.DB, o Options) *RPList {
 				st.ps = 1
 				continue
 			}
-			if tscur-st.idl <= o.Per {
+			if periodic(st.idl, tscur, o.Per) {
 				// Periodic reappearance: extend the current run
 				// (lines 7-8).
 				st.sup++

@@ -20,6 +20,11 @@ const nilNode int32 = -1
 // end there. During bottom-up mining, ts-lists are pushed up to parents
 // (Lemma 3), so interior nodes accumulate timestamps too.
 //
+// A ts-list is stored as transaction indexes (tids): positions in the
+// tree's tsOf table of timestamps. Transactions are in timestamp order, so
+// sorting tids sorts the timestamps, and a dense tid indexes the per-miner
+// owner table that conditionalTree distributes lists with (see there).
+//
 // A node's ts-list is a concatenation of sorted runs: boundaries of all runs
 // but the implicit last one are recorded in runs, and appendRun starts a new
 // run only when an append actually breaks the sorted order. Tail appends
@@ -33,7 +38,7 @@ type rpNode struct {
 	firstChild  int32
 	nextSibling int32
 	link        int32   // next node carrying the same item (header chain)
-	ts          []int64 // concatenated sorted runs of timestamps
+	tids        []int64 // concatenated sorted runs of transaction indexes
 	runs        []int32 // end offsets of all runs except the last
 }
 
@@ -44,20 +49,20 @@ func (n *rpNode) appendRun(vals []int64) {
 	if len(vals) == 0 {
 		return
 	}
-	if len(n.ts) > 0 && vals[0] < n.ts[len(n.ts)-1] {
-		n.runs = append(n.runs, int32(len(n.ts)))
+	if len(n.tids) > 0 && vals[0] < n.tids[len(n.tids)-1] {
+		n.runs = append(n.runs, int32(len(n.tids)))
 	}
-	n.ts = append(n.ts, vals...)
+	n.tids = append(n.tids, vals...)
 }
 
 // appendRunList appends every run of a run-tracked ts-list.
-func (n *rpNode) appendRunList(ts []int64, runs []int32) {
+func (n *rpNode) appendRunList(tids []int64, runs []int32) {
 	prev := int32(0)
 	for _, end := range runs {
-		n.appendRun(ts[prev:end])
+		n.appendRun(tids[prev:end])
 		prev = end
 	}
-	n.appendRun(ts[prev:])
+	n.appendRun(tids[prev:])
 }
 
 // nodeArena is a slab of RP-tree nodes. Conditional trees are carved from a
@@ -72,12 +77,12 @@ type nodeArena struct {
 // move it, so callers must not hold *rpNode pointers across newNode calls.
 //
 // When the slab re-expands over a region truncated by reset, the slot's old
-// ts/runs capacity is salvaged (truncated, not dropped): conditional trees
-// are rebuilt in the same slab region over and over during mining, and
-// reusing the per-slot list storage removes almost all of their append
-// allocations. A ts backing belongs to exactly one slot at a time and every
-// insert copies timestamp values, so a salvaged buffer can never alias a
-// live list.
+// tids/runs capacity is salvaged (truncated, not dropped): conditional
+// trees are rebuilt in the same slab region over and over during mining,
+// and reusing the per-slot list storage removes almost all of their append
+// allocations. A tids backing belongs to exactly one slot at a time and
+// every insert copies values, so a salvaged buffer can never alias a live
+// list.
 func (a *nodeArena) newNode(item tsdb.ItemID, rank, parent int32) int32 {
 	idx := len(a.nodes)
 	if idx < cap(a.nodes) {
@@ -85,7 +90,7 @@ func (a *nodeArena) newNode(item tsdb.ItemID, rank, parent int32) int32 {
 		n := &a.nodes[idx]
 		n.item, n.rank, n.parent = item, rank, parent
 		n.firstChild, n.nextSibling, n.link = nilNode, nilNode, nilNode
-		n.ts, n.runs = n.ts[:0], n.runs[:0]
+		n.tids, n.runs = n.tids[:0], n.runs[:0]
 		return int32(idx)
 	}
 	a.nodes = append(a.nodes, rpNode{
@@ -116,24 +121,32 @@ func (a *nodeArena) reset(mark int) { a.nodes = a.nodes[:mark] }
 type rpTree struct {
 	arena      *rpArena
 	root       int32
+	tsOf       []int64       // timestamp per tid, shared with conditional trees
 	order      []tsdb.ItemID // tree item order, most frequent first
 	headers    []int32       // first node per rank, nilNode when empty
 	rootByRank []int32       // root's child per rank (O(1) insert lookup)
 	nodes      int           // nodes created (stats)
+
+	// held is the index in the miner's tsStack of the list handed down for
+	// rank 0; rank r's list is held+r. -1 for the initial tree, whose
+	// ranks collect their lists from the nodes.
+	held int
 }
 
 // rpArena aliases nodeArena so rpTree reads naturally; kept distinct from
 // the merge scratch, which is per-miner, not per-tree.
 type rpArena = nodeArena
 
-// newRPTree prepares an empty tree over the given item order, carving its
-// root from a.
-func newRPTree(a *nodeArena, order []tsdb.ItemID) *rpTree {
+// newRPTree prepares an empty tree over the given item order and tid
+// table, carving its root from a.
+func newRPTree(a *nodeArena, tsOf []int64, order []tsdb.ItemID) *rpTree {
 	t := &rpTree{
 		arena:      a,
+		tsOf:       tsOf,
 		order:      order,
 		headers:    make([]int32, len(order)),
 		rootByRank: make([]int32, len(order)),
+		held:       -1,
 	}
 	for i := range t.headers {
 		t.headers[i] = nilNode
@@ -145,9 +158,9 @@ func newRPTree(a *nodeArena, order []tsdb.ItemID) *rpTree {
 
 // insertRanks adds one candidate projection, given as its strictly
 // increasing sequence of tree ranks, recording the run-tracked ts-list
-// (ts, runs) at the tail node (Algorithm 3, insert_tree). Timestamp values
-// are copied, never aliased.
-func (t *rpTree) insertRanks(ranks []int32, ts []int64, runs []int32) {
+// (tids, runs) at the tail node (Algorithm 3, insert_tree). The values are
+// copied, never aliased.
+func (t *rpTree) insertRanks(ranks []int32, tids []int64, runs []int32) {
 	a := t.arena
 	cur := t.root
 	for _, rk := range ranks {
@@ -175,7 +188,7 @@ func (t *rpTree) insertRanks(ranks []int32, ts []int64, runs []int32) {
 		cur = child
 	}
 	if cur != t.root {
-		a.nodes[cur].appendRunList(ts, runs)
+		a.nodes[cur].appendRunList(tids, runs)
 	}
 }
 
@@ -202,7 +215,7 @@ func (t *rpTree) linkChild(parent, child int32, rk int32) {
 
 // buildRPTree performs the second database scan of RP-growth (Algorithm 2):
 // every transaction's candidate item projection is inserted into the prefix
-// tree with the transaction's timestamp recorded at the tail node. The tree
+// tree with the transaction's index recorded at the tail node. The tree
 // owns a fresh arena; transactions arrive in timestamp order, so every tail
 // node's ts-list is a single sorted run.
 func buildRPTree(db *tsdb.DB, list *RPList) *rpTree {
@@ -210,10 +223,14 @@ func buildRPTree(db *tsdb.DB, list *RPList) *rpTree {
 	for i, e := range list.Candidates {
 		order[i] = e.Item
 	}
-	t := newRPTree(&nodeArena{}, order)
+	tsOf := make([]int64, len(db.Trans))
+	for tid, tr := range db.Trans {
+		tsOf[tid] = tr.TS
+	}
+	t := newRPTree(&nodeArena{}, tsOf, order)
 	var ranks []int32
-	var tsOne [1]int64
-	for _, tr := range db.Trans {
+	var tidOne [1]int64
+	for tid, tr := range db.Trans {
 		ranks = ranks[:0]
 		for _, it := range tr.Items {
 			if r := list.Rank[it]; r >= 0 {
@@ -224,21 +241,21 @@ func buildRPTree(db *tsdb.DB, list *RPList) *rpTree {
 			continue
 		}
 		slices.Sort(ranks)
-		tsOne[0] = tr.TS
-		t.insertRanks(ranks, tsOne[:], nil)
+		tidOne[0] = int64(tid)
+		t.insertRanks(ranks, tidOne[:], nil)
 	}
 	return t
 }
 
 // collectTS merges the ts-lists of every node carrying the item at rank r
-// into a sorted timestamp list appended to dst. During sequential mining
-// this is TS^beta for the suffix pattern being processed, because deeper
-// items have already pushed their ts-lists up (Lemma 3).
+// into a sorted tid list appended to dst. During sequential mining this is
+// TS^beta for the suffix pattern being processed, because deeper items have
+// already pushed their ts-lists up (Lemma 3).
 func (t *rpTree) collectTS(ms *mergeScratch, r int, dst []int64) []int64 {
 	a := t.arena
 	runs := ms.runs[:0]
 	for n := t.headers[r]; n != nilNode; n = a.nodes[n].link {
-		runs = appendRunViews(runs, a.nodes[n].ts, a.nodes[n].runs)
+		runs = appendRunViews(runs, a.nodes[n].tids, a.nodes[n].runs)
 	}
 	ms.runs = runs
 	return ms.merge(dst)
@@ -253,11 +270,32 @@ func (t *rpTree) collectSubtreeTS(ms *mergeScratch, n int32, dst []int64) []int6
 	return ms.merge(dst)
 }
 
+// gatherTS appends the timestamps of the given tids to dst: the form the
+// measure layer reads.
+func gatherTS(dst, tids, tsOf []int64) []int64 {
+	for _, tid := range tids {
+		dst = append(dst, tsOf[tid])
+	}
+	return dst
+}
+
+// collectNodeTS is the subtree-mode reading of rank r: one merged subtree
+// list per node on r's header chain, in chain order, appended to dst. Each
+// list is a pooled buffer the caller returns with putBufs. The lists are
+// the base-path lists conditionalTree needs, and their union is TS^beta,
+// so every node's subtree is merged exactly once per rank.
+func (t *rpTree) collectNodeTS(ms *mergeScratch, r int, dst [][]int64) [][]int64 {
+	for n := t.headers[r]; n != nilNode; n = t.arena.nodes[n].link {
+		dst = append(dst, t.collectSubtreeTS(ms, n, ms.getBuf()))
+	}
+	return dst
+}
+
 // appendSubtreeRuns gathers the run views of n's subtree in first-child/
 // next-sibling order.
 func (t *rpTree) appendSubtreeRuns(dst []run, n int32) []run {
 	a := t.arena
-	dst = appendRunViews(dst, a.nodes[n].ts, a.nodes[n].runs)
+	dst = appendRunViews(dst, a.nodes[n].tids, a.nodes[n].runs)
 	for c := a.nodes[n].firstChild; c != nilNode; c = a.nodes[c].nextSibling {
 		dst = t.appendSubtreeRuns(dst, c)
 	}
@@ -276,9 +314,9 @@ func (t *rpTree) pushUp(r int) {
 		n := &a.nodes[ni]
 		ni = n.link
 		if n.parent != t.root {
-			a.nodes[n.parent].appendRunList(n.ts, n.runs)
+			a.nodes[n.parent].appendRunList(n.tids, n.runs)
 		}
-		n.ts, n.runs = n.ts[:0], n.runs[:0] // keep capacity for slot salvage
+		n.tids, n.runs = n.tids[:0], n.runs[:0] // keep capacity for slot salvage
 	}
 	t.headers[r] = nilNode
 }
@@ -286,19 +324,21 @@ func (t *rpTree) pushUp(r int) {
 // basePath is one prefix path of the suffix item, restricted to candidate
 // ancestors: the tree ranks of the ancestors (root-most first, ascending,
 // stored as [rankLo:rankHi) of the scratch's shared rankBuf backing) and the
-// path's run-tracked timestamp list.
+// path's run-tracked tid list.
 type basePath struct {
 	rankLo, rankHi int32
-	ts             []int64
+	tids           []int64
 	runs           []int32
 }
 
 // condKeep is one prefix item surviving the conditional Erec check, with its
-// conditional support and its rank in the enclosing tree.
+// conditional support, its rank in the enclosing tree and the span of its
+// ts-list in the miner's tsStack.
 type condKeep struct {
 	item  tsdb.ItemID
 	sup   int
 	trank int32
+	list  tsSpan
 }
 
 // growN resizes *s to n elements (growing the backing as needed, contents
@@ -309,121 +349,160 @@ func growN[T any](s *[]T, n int) []T {
 	return v
 }
 
-// releaseBase returns subtree-mode collect buffers to the free list; the
-// sequential miner's base paths alias tree node lists and are left alone.
-func (ms *mergeScratch) releaseBase(subtree bool) {
-	if !subtree {
-		return
-	}
-	for i := range ms.base {
-		ms.putBuf(ms.base[i].ts)
-	}
-}
-
 // conditionalTree builds the conditional RP-tree for the item at rank r
 // (Algorithm 4 line 4): the prefix paths of the item's nodes, restricted to
 // items whose conditional Erec passes the candidate check (computed from
-// the per-item merged ts-lists — the "temporary array" of Section 4.2.3),
+// the per-item ts-lists — the "temporary array" of Section 4.2.3),
 // re-sorted by conditional support. nil is returned when no item survives.
+// beta is TS^beta, the sorted union of the item's node lists.
+//
+// No temporary array is merged. A prefix item whose conditional support
+// already bounds Erec below MinRec is rejected outright. The others get
+// their lists in one pass over beta: each tid is labelled with the base
+// path it belongs to (the miner's owner table, indexed by tid), and the
+// pass appends it to the list of every candidate item on that path, so
+// each list comes out sorted. The lists of the kept items stay on ms.held
+// in conditional-rank order (the returned tree's held field points at the
+// first), and the child's mineRank reads them instead of collecting them
+// again. The caller resets ms.held once the child's recursion returns.
 //
 // The new tree is carved from dst (the caller's arena), so the shared
 // initial tree is never mutated — the parallel miner's workers all read t
 // concurrently while building their own conditional trees.
 //
-// subtree selects how a node's timestamp list is read: the sequential miner
-// reads the node's runs directly (push-ups have accumulated descendant
-// timestamps), while the parallel miner merges each node's subtree.
-func (t *rpTree) conditionalTree(dst *nodeArena, ms *mergeScratch, o Options, r int, subtree bool) *rpTree {
+// nodeTS selects how a node's ts-list is read. nil (the sequential miner)
+// reads the node's runs directly, since push-ups have accumulated the
+// descendants' tids. In subtree mode (the parallel and shard miners) it
+// holds collectNodeTS's per-node subtree lists, which the caller owns and
+// releases.
+func (t *rpTree) conditionalTree(dst *nodeArena, ms *mergeScratch, o Options, r int, beta []int64, nodeTS [][]int64) *rpTree {
 	a := t.arena
 
 	// First pass: one base path per node carrying rank r — its candidate
 	// ancestors (tree ranks, root-most first, in the shared rankBuf
-	// backing) and its ts-list. All of it lives in pooled per-miner
-	// scratch; the only allocations left in this function are the pieces
-	// the returned tree retains.
+	// backing) and its ts-list — and the owner label of every tid in beta:
+	// its base path, or -1 when its node is a root child and so has no
+	// prefix items. All of it lives in pooled per-miner scratch; the only
+	// allocations left in this function are the pieces the returned tree
+	// retains.
+	owner := growN(&ms.owner, len(t.tsOf))
 	base, rankBuf := ms.base[:0], ms.rankBuf[:0]
-	for ni := t.headers[r]; ni != nilNode; ni = a.nodes[ni].link {
-		n := a.nodes[ni]
-		ts, runs := n.ts, n.runs
-		if subtree {
-			ts = t.collectSubtreeTS(ms, ni, ms.getBuf())
-			runs = nil
+	i := 0
+	for ni := t.headers[r]; ni != nilNode; ni, i = a.nodes[ni].link, i+1 {
+		n := &a.nodes[ni]
+		tids, runs := n.tids, n.runs
+		if nodeTS != nil {
+			tids, runs = nodeTS[i], nil
 		}
-		if len(ts) == 0 || n.parent == t.root {
-			if subtree {
-				ms.putBuf(ts)
+		bi := int32(-1)
+		if len(tids) > 0 && n.parent != t.root {
+			bi = int32(len(base))
+			lo := int32(len(rankBuf))
+			for p := n.parent; p != t.root; p = a.nodes[p].parent {
+				rankBuf = append(rankBuf, a.nodes[p].rank)
 			}
-			continue
+			slices.Reverse(rankBuf[lo:]) // root-most first
+			base = append(base, basePath{rankLo: lo, rankHi: int32(len(rankBuf)), tids: tids, runs: runs})
 		}
-		lo := int32(len(rankBuf))
-		for p := n.parent; p != t.root; p = a.nodes[p].parent {
-			rankBuf = append(rankBuf, a.nodes[p].rank)
+		for _, tid := range tids {
+			owner[tid] = bi
 		}
-		slices.Reverse(rankBuf[lo:]) // root-most first
-		base = append(base, basePath{rankLo: lo, rankHi: int32(len(rankBuf)), ts: ts, runs: runs})
 	}
 	ms.base, ms.rankBuf = base, rankBuf
 	if len(base) == 0 {
-		ms.releaseBase(subtree)
 		return nil
 	}
 
-	// CSR index over the base: for each prefix rank pr < r, the conditional
-	// support (total timestamps) and which base paths contain pr. Rank
-	// indexing keeps the pass deterministic with no map in the hot path.
+	// Conditional support of every prefix rank pr < r. The base paths'
+	// ts-lists are disjoint (each tid has one owner), so sup[pr] is exactly
+	// the length of pr's list.
 	sup := growN(&ms.sup, r)
-	cur := growN(&ms.cur, r+1)
 	clear(sup)
-	clear(cur)
 	for bi := range base {
 		bp := &base[bi]
 		for _, pr := range rankBuf[bp.rankLo:bp.rankHi] {
-			cur[pr+1]++
-			sup[pr] += len(bp.ts)
+			sup[pr] += len(bp.tids)
 		}
 	}
-	for pr := 0; pr < r; pr++ {
-		cur[pr+1] += cur[pr]
-	}
-	pathIdx := growN(&ms.pathIdx, len(rankBuf))
-	for bi := range base {
-		bp := &base[bi]
-		for _, pr := range rankBuf[bp.rankLo:bp.rankHi] {
-			pathIdx[cur[pr]] = int32(bi)
-			cur[pr]++
-		}
-	}
-	// After the fill, cur[pr] is the end offset of rank pr's path list and
-	// cur[pr-1] its start.
 
-	// Keep items whose conditional Erec passes the candidate check
-	// (Properties 1-2 make this safe), order them by conditional support.
-	keep := ms.keep[:0]
-	merged := ms.getBuf()
-	start := 0
+	// Support bound: Erec <= floor(sup/MinPS), so a rank whose bound is
+	// below MinRec fails the candidate check without its list being built.
+	// The others get a slot of exactly sup[pr] on the held stack, in rank
+	// order; fill[pr] is the slot's write cursor, or -1.
+	held := &ms.held
+	from := len(held.buf)
+	fill := growN(&ms.cur, r)
+	end := from
 	for pr := 0; pr < r; pr++ {
-		lo, hi := start, cur[pr]
-		start = hi
-		if lo == hi {
+		fill[pr] = -1
+		if sup[pr] == 0 {
 			continue
 		}
-		runs := ms.runs[:0]
-		for _, bi := range pathIdx[lo:hi] {
-			bp := &base[bi]
-			runs = appendRunViews(runs, bp.ts, bp.runs)
+		if !o.supportMayRecur(sup[pr]) {
+			if ms.lc != nil {
+				ms.lc.Observe(obs.PhasePrune, 0, 1)
+			}
+			continue
 		}
-		ms.runs = runs
-		merged = ms.merge(merged[:0])
-		if o.candidateErec(merged) >= o.MinRec {
-			keep = append(keep, condKeep{item: t.order[pr], sup: sup[pr], trank: int32(pr)})
-		} else if ms.lc != nil {
-			ms.lc.Observe(obs.PhasePrune, 0, 1)
+		fill[pr] = end
+		end += sup[pr]
+	}
+	if end == from {
+		return nil
+	}
+	// Only candidate ranks matter from here on: drop the others from the
+	// paths, in place.
+	w := int32(0)
+	for bi := range base {
+		bp := &base[bi]
+		lo := w
+		for _, pr := range rankBuf[bp.rankLo:bp.rankHi] {
+			if fill[pr] >= 0 {
+				rankBuf[w] = pr
+				w++
+			}
+		}
+		bp.rankLo, bp.rankHi = lo, w
+	}
+
+	// Distribute beta, in order, into the slots.
+	buf := slices.Grow(held.buf, end-from)[:end]
+	for _, tid := range beta {
+		bi := owner[tid]
+		if bi < 0 {
+			continue
+		}
+		bp := &base[bi]
+		for _, pr := range rankBuf[bp.rankLo:bp.rankHi] {
+			buf[fill[pr]] = tid
+			fill[pr]++
 		}
 	}
-	ms.putBuf(merged)
+
+	// Keep items whose conditional Erec passes the candidate check
+	// (Properties 1-2 make this safe), sliding the survivors' lists down
+	// over the rejected ones; then order them by conditional support.
+	keep := ms.keep[:0]
+	next := from
+	for pr := 0; pr < r; pr++ {
+		if fill[pr] < 0 {
+			continue
+		}
+		list := buf[fill[pr]-sup[pr] : fill[pr]]
+		ms.ts = gatherTS(ms.ts[:0], list, t.tsOf)
+		if o.candidateErec(ms.ts) < o.MinRec {
+			if ms.lc != nil {
+				ms.lc.Observe(obs.PhasePrune, 0, 1)
+			}
+			continue
+		}
+		copy(buf[next:], list)
+		keep = append(keep, condKeep{item: t.order[pr], sup: sup[pr], trank: int32(pr), list: tsSpan{next, next + len(list)}})
+		next += len(list)
+	}
+	held.buf = buf[:next]
 	ms.keep = keep
 	if len(keep) == 0 {
-		ms.releaseBase(subtree)
 		return nil
 	}
 	slices.SortFunc(keep, func(x, y condKeep) int {
@@ -443,13 +522,15 @@ func (t *rpTree) conditionalTree(dst *nodeArena, ms *mergeScratch, o Options, r 
 	for i := range condRank {
 		condRank[i] = nilNode
 	}
+	ct := newRPTree(dst, t.tsOf, order)
+	ct.held = len(held.spans)
 	for i, k := range keep {
 		order[i] = k.item
 		condRank[k.trank] = int32(i)
+		held.spans = append(held.spans, k.list)
 	}
 
 	// Second pass: insert the filtered, re-ranked prefix paths.
-	ct := newRPTree(dst, order)
 	path := ms.path[:0]
 	for bi := range base {
 		bp := &base[bi]
@@ -463,9 +544,8 @@ func (t *rpTree) conditionalTree(dst *nodeArena, ms *mergeScratch, o Options, r 
 			continue
 		}
 		slices.Sort(path)
-		ct.insertRanks(path, bp.ts, bp.runs)
+		ct.insertRanks(path, bp.tids, bp.runs)
 	}
 	ms.path = path
-	ms.releaseBase(subtree)
 	return ct
 }

@@ -33,7 +33,7 @@ func TestRPTreeStructurePaperExample(t *testing.T) {
 			runs = tree.appendSubtreeRuns(runs, n)
 		}
 		ms.runs = runs
-		ts := ms.merge(nil)
+		ts := gatherTS(nil, ms.merge(nil), tree.tsOf)
 		want := db.TSList([]tsdb.ItemID{item})
 		if !reflect.DeepEqual(ts, want) {
 			t.Errorf("item %s subtree ts = %v, want %v", db.Dict.Name(item), ts, want)
@@ -77,7 +77,7 @@ func TestRPTreeNoSupportCountsOnlyTailTS(t *testing.T) {
 	total := 0
 	for i := range tree.arena.nodes {
 		n := &tree.arena.nodes[i]
-		total += len(n.ts)
+		total += len(n.tids)
 		if len(n.runs) != 0 {
 			t.Errorf("node %d has %d run boundaries in a fresh tree", i, len(n.runs))
 		}
@@ -94,7 +94,7 @@ func TestCollectTSMatchesScan(t *testing.T) {
 	// ts-list (all its nodes are tail nodes).
 	bottomRank := len(tree.order) - 1
 	bottom := tree.order[bottomRank]
-	got := tree.collectTS(&ms, bottomRank, nil)
+	got := gatherTS(nil, tree.collectTS(&ms, bottomRank, nil), tree.tsOf)
 	want := db.TSList([]tsdb.ItemID{bottom})
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("collectTS(%s) = %v, want %v", db.Dict.Name(bottom), got, want)
@@ -108,7 +108,7 @@ func TestPushUpPreservesParentTS(t *testing.T) {
 	var ms mergeScratch
 	for r := len(tree.order) - 1; r > 0; r-- {
 		tree.pushUp(r)
-		got := tree.collectTS(&ms, r-1, nil)
+		got := gatherTS(nil, tree.collectTS(&ms, r-1, nil), tree.tsOf)
 		want := db.TSList([]tsdb.ItemID{tree.order[r-1]})
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("after pushUp(%d): collectTS(%s) = %v, want %v",
@@ -134,7 +134,7 @@ func TestConditionalTreePaperExample(t *testing.T) {
 	if fRank != len(tree.order)-1 {
 		t.Fatalf("f should be the bottom item, got rank %d", fRank)
 	}
-	cond := tree.conditionalTree(&arena, &ms, paperOptions(), fRank, false)
+	cond := condTree(tree, &arena, &ms, paperOptions(), fRank, false)
 	if cond == nil {
 		t.Fatal("conditional tree for f is empty")
 	}
@@ -146,7 +146,7 @@ func TestConditionalTreePaperExample(t *testing.T) {
 		}
 		t.Fatalf("CT_f items = %v, want [e]", names)
 	}
-	ts := cond.collectTS(&ms, 0, nil)
+	ts := gatherTS(nil, cond.collectTS(&ms, 0, nil), cond.tsOf)
 	want := []int64{3, 5, 6, 10, 11, 12}
 	if !reflect.DeepEqual(ts, want) {
 		t.Errorf("TS^ef = %v, want %v", ts, want)
@@ -162,8 +162,8 @@ func TestConditionalTreeSubtreeModeEquivalent(t *testing.T) {
 	var a1, a2 nodeArena
 	var ms mergeScratch
 	r := len(tree1.order) - 1
-	seqCT := tree1.conditionalTree(&a1, &ms, paperOptions(), r, false)
-	parCT := tree2.conditionalTree(&a2, &ms, paperOptions(), r, true)
+	seqCT := condTree(tree1, &a1, &ms, paperOptions(), r, false)
+	parCT := condTree(tree2, &a2, &ms, paperOptions(), r, true)
 	if (seqCT == nil) != (parCT == nil) {
 		t.Fatalf("one mode produced nil: %v vs %v", seqCT, parCT)
 	}

@@ -417,3 +417,20 @@ func TestRuleOptionsValidate(t *testing.T) {
 		t.Error("MineShifted must reject negative tolerance")
 	}
 }
+
+func TestNoisyRecurrenceExtremeGap(t *testing.T) {
+	// The gap between these timestamps is 2^64-11; as an int64 difference
+	// it wraps to -11, which would pass both the strict and the relaxed
+	// period test. A huge NoiseFactor must not wrap the relaxed period.
+	ts := []int64{-9223372036854775803, 9223372036854775802}
+	for _, factor := range []float64{1, 3, 1e30} {
+		o := NoiseOptions{
+			Options:       core.Options{Per: 10, MinPS: 2, MinRec: 1},
+			MaxViolations: 1,
+			NoiseFactor:   factor,
+		}
+		if rec, ipi := NoisyRecurrence(ts, o); rec != 0 {
+			t.Errorf("factor %g: rec=%d ipi=%v, want no interval", factor, rec, ipi)
+		}
+	}
+}

@@ -8,6 +8,7 @@ package ext
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/recurpat/rp/internal/core"
@@ -46,7 +47,11 @@ func (o NoiseOptions) relaxedPer() int64 {
 	if o.NoiseFactor <= 1 || o.MaxViolations == 0 {
 		return o.Per
 	}
-	return int64(o.NoiseFactor * float64(o.Per))
+	r := o.NoiseFactor * float64(o.Per)
+	if r >= math.MaxInt64 {
+		return math.MaxInt64 // float-to-int conversion of a larger value is undefined
+	}
+	return int64(r)
 }
 
 // NoisyRecurrence computes the noise-tolerant recurrence of a sorted
@@ -69,11 +74,12 @@ func NoisyRecurrence(ts []int64, o NoiseOptions) (rec int, ipi []core.Interval) 
 		}
 	}
 	for i := 1; i < len(ts); i++ {
-		gap := ts[i] - ts[i-1]
+		// Unsigned, so a gap wider than the int64 range cannot wrap.
+		gap := uint64(ts[i]) - uint64(ts[i-1])
 		switch {
-		case gap <= o.Per:
+		case gap <= uint64(o.Per):
 			ps++
-		case gap <= relaxed && viol < o.MaxViolations:
+		case gap <= uint64(relaxed) && viol < o.MaxViolations:
 			viol++
 			ps++
 		default:
