@@ -71,6 +71,13 @@ func BenchmarkTable7Shop14(b *testing.B) {
 	mineOnce(b, d, core.Options{Per: 1440, MinPS: core.MinPSFromPercent(d.DB, 2.5), MinRec: 2})
 }
 
+// BenchmarkTable7Shop14Parallel is the Shop-14 cell mined by two workers,
+// the shape rpserved's cold mines run in.
+func BenchmarkTable7Shop14Parallel(b *testing.B) {
+	d := benchDataset(b, "shop14", 0.25)
+	mineOnce(b, d, core.Options{Per: 1440, MinPS: core.MinPSFromPercent(d.DB, 2.5), MinRec: 2, Parallelism: 2})
+}
+
 func BenchmarkTable7Twitter(b *testing.B) {
 	d := benchDataset(b, "twitter", 0.05)
 	mineOnce(b, d, core.Options{Per: 720, MinPS: core.MinPSFromPercent(d.DB, 10), MinRec: 2})

@@ -38,8 +38,8 @@ const chiSquared95 = 3.84
 // p iff |g-p| <= w); spanFirst/spanLast bound the observation window used
 // for the null model. Periods from 1 up to half the span are considered.
 func DiscoverPeriods(ts []int64, w int64, spanFirst, spanLast int64) []CandidatePeriod {
-	if len(ts) < 3 || spanLast <= spanFirst {
-		return nil
+	if len(ts) < 3 || spanLast <= spanFirst || w < 0 {
+		return nil // a negative tolerance matches no gap
 	}
 	span := float64(uint64(spanLast)-uint64(spanFirst)) + 1
 	n := len(ts) - 1 // number of inter-arrival times
@@ -65,34 +65,55 @@ func DiscoverPeriods(ts []int64, w int64, spanFirst, spanLast int64) []Candidate
 		maxGap = half
 	}
 
+	// Only a period within w of some observed positive gap has a nonzero
+	// count, so the candidates are the union of [g-w, g+w] ∩ [1, maxGap]
+	// over the distinct gaps g, walked in ascending order; every other
+	// period would be skipped anyway. gs and cum (running counts) give a
+	// period's count by two binary searches, so neither the number of
+	// candidates nor w times it depends on how far apart timestamps are.
+	gs := make([]int64, 0, len(gaps))
+	for g := range gaps {
+		if g > 0 {
+			gs = append(gs, g)
+		}
+	}
+	slices.Sort(gs)
+	cum := make([]int, len(gs)+1)
+	for i, g := range gs {
+		cum[i+1] = cum[i] + gaps[g]
+	}
 	var out []CandidatePeriod
-	for p := int64(1); p <= maxGap; p++ {
-		count := 0
-		for d := p - w; d <= p+w; d++ {
-			if d > 0 {
-				count += gaps[d]
+	next := int64(1) // lowest period not yet considered
+	for _, g := range gs {
+		for p := max(g-w, next); p <= min(satAdd(g, w), maxGap); p++ {
+			next = p + 1
+			first, _ := slices.BinarySearch(gs, p-w)
+			end, found := slices.BinarySearch(gs, satAdd(p, w))
+			if found {
+				end++
 			}
-		}
-		if count == 0 {
-			continue
-		}
-		// Null: each gap lands in the window [p-w, p+w] with the
-		// probability a Poisson inter-arrival (exponential with the
-		// observed rate) would.
-		lo := float64(p-w) - 0.5
-		if lo < 0 {
-			lo = 0
-		}
-		hi := float64(p+w) + 0.5
-		prob := math.Exp(-rate*lo) - math.Exp(-rate*hi)
-		if prob <= 0 || prob >= 1 {
-			continue
-		}
-		expected := float64(n) * prob
-		diff := float64(count) - expected
-		score := diff * diff / (expected * (1 - prob))
-		if diff > 0 && score > chiSquared95 {
-			out = append(out, CandidatePeriod{Period: p, Count: count, Score: score})
+			count := cum[end] - cum[first]
+			if count <= 0 {
+				continue
+			}
+			// Null: each gap lands in the window [p-w, p+w] with the
+			// probability a Poisson inter-arrival (exponential with the
+			// observed rate) would.
+			lo := float64(p-w) - 0.5
+			if lo < 0 {
+				lo = 0
+			}
+			hi := float64(satAdd(p, w)) + 0.5
+			prob := math.Exp(-rate*lo) - math.Exp(-rate*hi)
+			if prob <= 0 || prob >= 1 {
+				continue
+			}
+			expected := float64(n) * prob
+			diff := float64(count) - expected
+			score := diff * diff / (expected * (1 - prob))
+			if diff > 0 && score > chiSquared95 {
+				out = append(out, CandidatePeriod{Period: p, Count: count, Score: score})
+			}
 		}
 	}
 	slices.SortFunc(out, func(a, b CandidatePeriod) int {
@@ -117,6 +138,14 @@ func DiscoverPeriods(ts []int64, w int64, spanFirst, spanLast int64) []Candidate
 		}
 	}
 	return kept
+}
+
+// satAdd returns a+b for b >= 0, saturating at MaxInt64.
+func satAdd(a, b int64) int64 {
+	if a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
 }
 
 func abs64(x int64) int64 {

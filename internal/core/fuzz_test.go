@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
+	"fmt"
 	"sort"
 	"testing"
 
@@ -105,6 +107,83 @@ func FuzzMineAgainstVertical(f *testing.F) {
 			t.Fatalf("RP-growth and vertical disagree: %d vs %d patterns",
 				len(a.Patterns), len(v.Patterns))
 		}
+	})
+}
+
+// FuzzMineModesAgree requires every RP-growth mode to reproduce
+// MineVertical on the byte-driven database of FuzzMineAgainstVertical:
+// Mine at parallelism 1, 2 and 4, the canonicalized union of the shards of
+// MineShardContext at shard counts 1 to 4, and MineFunc's collected
+// output. flags picks the item order, the pruning ablation and a MaxLen.
+func FuzzMineModesAgree(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 0, 1, 2, 3, 4}, int64(2), 2, 1, uint8(0))
+	f.Add([]byte{7, 3, 3, 5, 7, 3, 1, 5, 7, 3, 6, 5, 7, 3, 2, 5}, int64(3), 2, 1, uint8(1))
+	f.Add([]byte{0, 1, 2, 0, 1, 2, 0, 1, 2, 6, 6, 6}, int64(1), 1, 1, uint8(14))
+	f.Fuzz(func(t *testing.T, data []byte, per int64, minPS, minRec int, flags uint8) {
+		if per <= 0 || per > 1000 {
+			per = 2
+		}
+		if minPS <= 0 || minPS > 100 {
+			minPS = 2
+		}
+		if minRec <= 0 || minRec > 10 {
+			minRec = 1
+		}
+		b := newFuzzBuilder()
+		for i, by := range data {
+			if i > 200 {
+				break
+			}
+			b.add(int64(i/2+1), by&7)
+		}
+		db := b.build()
+		if db.Len() == 0 {
+			return
+		}
+		o := Options{Per: per, MinPS: minPS, MinRec: minRec, MaxLen: int(flags>>2) & 3}
+		if flags&1 != 0 {
+			o.ItemOrder = Lexicographic
+		}
+		o.DisableErecPruning = flags&2 != 0
+		want, err := MineVertical(db, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(mode string, got *Result) {
+			t.Helper()
+			if !got.Equal(want) {
+				t.Fatalf("%+v: %s and MineVertical disagree: %d vs %d patterns", o, mode, len(got.Patterns), len(want.Patterns))
+			}
+		}
+		for _, par := range []int{1, 2, 4} {
+			o := o
+			o.Parallelism = par
+			res, err := Mine(db, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("Mine at parallelism %d", par), res)
+		}
+		for count := 1; count <= 4; count++ {
+			var parts []*Result
+			for i := 0; i < count; i++ {
+				res, err := MineShardContext(context.Background(), db, o, ShardSpec{Index: i, Count: count})
+				if err != nil {
+					t.Fatal(err)
+				}
+				parts = append(parts, res)
+			}
+			check(fmt.Sprintf("%d shards", count), mergeShards(parts))
+		}
+		streamed := &Result{}
+		if err := MineFunc(db, o, func(p Pattern) bool {
+			streamed.Patterns = append(streamed.Patterns, p)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		streamed.Canonicalize()
+		check("MineFunc", streamed)
 	})
 }
 

@@ -12,20 +12,35 @@ import (
 	"github.com/recurpat/rp/internal/tsdb"
 )
 
-// Invariants of the single-merge rule: conditionalTree merges each kept
-// prefix item's ts-list once and hands it down; the child tree's mineRank
-// reads it in place of collectTS.
+// Invariants of the hand-down rule: conditionalTree builds each kept prefix
+// item's ts-list once and hands it down; the child tree's mineRank reads it
+// as TS^beta.
 
-// condTree builds rank r's conditional tree from the inputs mineRank
-// gives it: TS^beta from collectTS, or in subtree mode the per-node lists
-// and their union. The pooled buffers are left to the collector.
-func condTree(t *rpTree, arena *nodeArena, ms *mergeScratch, o Options, r int, subtree bool) *rpTree {
-	if !subtree {
-		return t.conditionalTree(arena, ms, o, r, t.collectTS(ms, r, nil), nil)
+// condTree builds the initial tree's rank r conditional tree from the input
+// mineRank gives it: TS^beta, the rank's posting list.
+func condTree(t *rpTree, arena *nodeArena, sc *mineScratch, o Options, r int) *rpTree {
+	beta, _ := t.post.rank(r)
+	return t.conditionalTree(arena, sc, o, r, beta)
+}
+
+// scanTids returns the sorted indexes of the transactions of db containing
+// every item of pattern: the reference TS^pattern, read from the database
+// alone.
+func scanTids(db *tsdb.DB, pattern []tsdb.ItemID) []int64 {
+	var tids []int64
+	for tid, tr := range db.Trans {
+		all := true
+		for _, it := range pattern {
+			if _, found := slices.BinarySearch(tr.Items, it); !found {
+				all = false
+				break
+			}
+		}
+		if all {
+			tids = append(tids, int64(tid))
+		}
 	}
-	nodeTS := t.collectNodeTS(ms, r, nil)
-	beta, _ := ms.union(nodeTS)
-	return t.conditionalTree(arena, ms, o, r, beta, nodeTS)
+	return tids
 }
 
 // handDownOptions is a spread of thresholds over which the random-DB checks
@@ -41,33 +56,34 @@ func handDownOptions() []Options {
 	}
 }
 
-// checkHandedDown walks ct bottom-up the way mineTree does and requires
-// every handed-down list to equal what collectTS returns for that rank
-// after the deeper ranks' push-ups; it recurses into conditional trees up
-// to maxDepth levels. It returns the number of lists checked.
-func checkHandedDown(t *testing.T, ct *rpTree, arena *nodeArena, ms *mergeScratch, o Options, depth, maxDepth int) int {
+// checkHandedDown walks ct, the conditional tree of suffix, bottom-up the
+// way mineTree does and requires every handed-down list to equal the tids
+// of the transactions containing suffix plus that rank's item; it recurses
+// into conditional trees up to maxDepth levels. It returns the number of
+// lists checked.
+func checkHandedDown(t *testing.T, db *tsdb.DB, ct *rpTree, suffix []tsdb.ItemID, arena *nodeArena, sc *mineScratch, o Options, depth, maxDepth int) int {
 	t.Helper()
-	if ct.held < 0 {
+	if ct.held < 0 || ct.post != nil {
 		t.Fatalf("conditional tree at depth %d has no handed-down lists", depth)
 	}
 	checked := 0
 	for cr := len(ct.order) - 1; cr >= 0; cr-- {
-		handed := ms.held.list(ct.held + cr)
-		collected := ct.collectTS(ms, cr, nil)
-		if !slices.Equal(handed, collected) {
-			t.Fatalf("depth %d rank %d: handed down %v, collectTS %v", depth, cr, handed, collected)
+		beta := append(slices.Clip(suffix), ct.order[cr])
+		handed := sc.held.list(ct.held + cr)
+		if want := scanTids(db, beta); !slices.Equal(handed, want) {
+			t.Fatalf("depth %d rank %d: handed down %v, the database has %v", depth, cr, handed, want)
 		}
 		if len(handed) == 0 || o.candidateErec(gatherTS(nil, handed, ct.tsOf)) < o.MinRec {
 			t.Fatalf("depth %d rank %d: handed-down list fails the candidate check", depth, cr)
 		}
 		checked++
 		if depth < maxDepth {
-			mark, held := arena.mark(), ms.held.mark()
-			if child := ct.conditionalTree(arena, ms, o, cr, handed, nil); child != nil {
-				checked += checkHandedDown(t, child, arena, ms, o, depth+1, maxDepth)
+			mark, held := arena.mark(), sc.held.mark()
+			if child := ct.conditionalTree(arena, sc, o, cr, handed); child != nil {
+				checked += checkHandedDown(t, db, child, beta, arena, sc, o, depth+1, maxDepth)
 			}
 			arena.reset(mark)
-			ms.held.reset(held)
+			sc.held.reset(held)
 		}
 		ct.pushUp(cr)
 	}
@@ -84,20 +100,15 @@ func TestHandedDownListsMatchChildCollect(t *testing.T) {
 			if len(list.Candidates) == 0 {
 				continue
 			}
-			for _, subtree := range []bool{false, true} {
-				tree := buildRPTree(db, list)
-				var arena nodeArena
-				var ms mergeScratch
-				for r := len(tree.order) - 1; r >= 0; r-- {
-					if ct := condTree(tree, &arena, &ms, o, r, subtree); ct != nil {
-						checked += checkHandedDown(t, ct, &arena, &ms, o, 1, 3)
-					}
-					arena.reset(0)
-					ms.held.reset(tsMark{})
-					if !subtree {
-						tree.pushUp(r)
-					}
+			tree := buildRPTree(db, list)
+			var arena nodeArena
+			var sc mineScratch
+			for r := len(tree.order) - 1; r >= 0; r-- {
+				if ct := condTree(tree, &arena, &sc, o, r); ct != nil {
+					checked += checkHandedDown(t, db, ct, tree.order[r:r+1], &arena, &sc, o, 1, 3)
 				}
+				arena.reset(0)
+				sc.held.reset(tsMark{})
 			}
 		}
 	}
@@ -164,7 +175,7 @@ func TestMineFuncStopsWithUnconsumedHandedLists(t *testing.T) {
 	heldAtStop := 0
 	m.fn = func(p Pattern) bool {
 		got = append(got, p)
-		heldAtStop = len(m.ms.held.spans)
+		heldAtStop = len(m.sc.held.spans)
 		return len(got) <= k
 	}
 	m.mineTree(tree, nil, 1)
@@ -177,9 +188,9 @@ func TestMineFuncStopsWithUnconsumedHandedLists(t *testing.T) {
 	if fmt.Sprint(got) != fmt.Sprint(full[:k+1]) {
 		t.Fatalf("early stop delivered %v, want %v", got, full[:k+1])
 	}
-	if len(m.ms.held.buf) != 0 || len(m.ms.held.spans) != 0 || len(m.arena.nodes) != 0 {
+	if len(m.sc.held.buf) != 0 || len(m.sc.held.spans) != 0 || len(m.arena.nodes) != 0 {
 		t.Fatalf("stacks not reset after the stop: %d list elements, %d spans, %d nodes",
-			len(m.ms.held.buf), len(m.ms.held.spans), len(m.arena.nodes))
+			len(m.sc.held.buf), len(m.sc.held.spans), len(m.arena.nodes))
 	}
 
 	// Cancellation from the callback: the miner observes ctx at the next
@@ -240,7 +251,7 @@ func TestMineContextCancelMidRunHandedLists(t *testing.T) {
 }
 
 // TestAblationAndMaxLenMatchVertical pins the pruning ablation and MaxLen,
-// the two options that change which lists conditionalTree merges, against
+// the two options that change which lists conditionalTree builds, against
 // MineVertical through every RP-growth path.
 func TestAblationAndMaxLenMatchVertical(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 11))

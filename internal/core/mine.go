@@ -41,29 +41,9 @@ func MineContext(ctx context.Context, db *tsdb.DB, o Options) (*Result, error) {
 	}
 	defer o.Trace.StartTotal().End()
 	res := &Result{}
-	// Each section runs under a phase pprof label (plus whatever request
-	// labels the caller attached via obs.WithMineLabels), so a continuous
-	// -profiling CPU capture attributes its samples to algorithm phases.
-	var list *RPList
-	obs.DoPhase(ctx, obs.PhaseScan, func(context.Context) {
-		sp := o.Trace.Start(obs.PhaseScan)
-		list = BuildRPList(db, o)
-		sp.End()
-	})
-	if o.CollectStats {
-		res.Stats.CandidateItems = len(list.Candidates)
-	}
-	if len(list.Candidates) == 0 {
+	tree := buildTree(ctx, db, o, res)
+	if tree == nil {
 		return res, nil
-	}
-	var tree *rpTree
-	obs.DoPhase(ctx, obs.PhaseTreeBuild, func(context.Context) {
-		sp := o.Trace.Start(obs.PhaseTreeBuild)
-		tree = buildRPTree(db, list)
-		sp.End()
-	})
-	if o.CollectStats {
-		res.Stats.TreeNodes += tree.nodes
 	}
 	cancelled := false
 	if o.Parallelism > 1 {
@@ -77,6 +57,44 @@ func MineContext(ctx context.Context, db *tsdb.DB, o Options) (*Result, error) {
 			cancelled = m.cancelled
 		})
 	}
+	return finish(ctx, o, res, cancelled)
+}
+
+// buildTree runs RP-growth's two database scans, the RP-list (Algorithm 1)
+// and the initial RP-tree (Algorithm 2), and records their statistics in
+// res when o asks for them. It returns nil when no item is a candidate.
+// Each scan runs under a phase pprof label (plus whatever request labels
+// the caller attached via obs.WithMineLabels), so a continuous-profiling
+// CPU capture attributes its samples to algorithm phases.
+func buildTree(ctx context.Context, db *tsdb.DB, o Options, res *Result) *rpTree {
+	var list *RPList
+	obs.DoPhase(ctx, obs.PhaseScan, func(context.Context) {
+		sp := o.Trace.Start(obs.PhaseScan)
+		list = BuildRPList(db, o)
+		sp.End()
+	})
+	if o.CollectStats {
+		res.Stats.CandidateItems = len(list.Candidates)
+	}
+	if len(list.Candidates) == 0 {
+		return nil
+	}
+	var tree *rpTree
+	obs.DoPhase(ctx, obs.PhaseTreeBuild, func(context.Context) {
+		sp := o.Trace.Start(obs.PhaseTreeBuild)
+		tree = buildRPTree(db, list)
+		sp.End()
+	})
+	if o.CollectStats {
+		res.Stats.TreeNodes += tree.nodes
+	}
+	return tree
+}
+
+// finish ends a mining run: a *CancelError (carrying the partial
+// statistics when o collects them) if it was cancelled, else res in
+// canonical order.
+func finish(ctx context.Context, o Options, res *Result, cancelled bool) (*Result, error) {
 	if cancelled {
 		cerr := &CancelError{Err: ctx.Err()}
 		if o.CollectStats {
@@ -94,7 +112,7 @@ func MineContext(ctx context.Context, db *tsdb.DB, o Options) (*Result, error) {
 
 // miner carries the mining context of one RP-growth run: the thresholds, the
 // output sink, and the reusable memory of the hot path — the conditional
-// tree arena (reset, not freed, between recursions) and the merge scratch.
+// tree arena (reset, not freed, between recursions) and the tree scratch.
 // A miner is single-goroutine state; the parallel mode gives each worker its
 // own and merges their results deterministically afterwards.
 type miner struct {
@@ -105,8 +123,7 @@ type miner struct {
 	done      <-chan struct{}    // ctx.Done(); nil when not cancellable
 	cancelled bool               // set once done fired (distinguishes fn stop)
 	arena     nodeArena          // conditional-tree slab
-	ms        mergeScratch
-	nodeTS    [][]int64 // subtree mode: per-node lists of the current rank
+	sc        mineScratch
 
 	// tr is the run's shared phase tracer (nil when untraced); lc batches
 	// this miner's observations between flushes, which happen once per
@@ -115,25 +132,27 @@ type miner struct {
 	lc obs.Local
 }
 
-// newMiner builds a miner for o, wiring the tracer into the merge scratch
-// (which times ts-list merges and counts conditional-tree prunes) when a
+// newMiner builds a miner for o, wiring the tracer into the tree scratch
+// (which times posting splits and counts conditional-tree prunes) when a
 // trace is attached.
 func newMiner(o Options) *miner {
 	m := &miner{o: o}
 	if o.Trace != nil {
 		m.tr = o.Trace
-		m.ms.lc = &m.lc
+		m.sc.lc = &m.lc
 	}
 	return m
 }
 
 // mineTree is Algorithm 4 (RP-growth): process the tree's items bottom-up;
-// for each item, collect the suffix pattern's timestamp list, apply the Erec
+// for each item, take the suffix pattern's timestamp list, apply the Erec
 // candidate check, evaluate recurrence (Algorithm 5), recurse into the
-// conditional tree, and push the item's ts-lists up for the next iteration.
+// conditional tree, and push a conditional tree's ts-lists up for the next
+// iteration. At depth 1 (the initial tree) every rank is one top-level
+// subtree task, the unit the parallel and shard miners hand to workers.
 //
 // Cancellation is observed once per rank — task granularity, so the check
-// never runs inside the ts-list merge or tree-walk hot loops.
+// never runs inside the ts-list or tree-walk hot loops.
 func (m *miner) mineTree(t *rpTree, suffix []tsdb.ItemID, depth int) {
 	if m.res != nil && m.o.CollectStats && depth > m.res.Stats.MaxDepth {
 		m.res.Stats.MaxDepth = depth
@@ -142,20 +161,28 @@ func (m *miner) mineTree(t *rpTree, suffix []tsdb.ItemID, depth int) {
 		if m.checkCancel() {
 			return
 		}
-		if m.tr != nil && depth == 1 {
-			// Top-level subtree task: attribute its wall time to the
-			// mining phase (and, when a timeline is attached, retain the
-			// task as a span) and publish the batch accumulated during it.
-			sp := m.tr.StartTask(m.taskLabel(t.order[r]), &m.lc)
-			m.mineRank(t, r, suffix, depth, false)
-			t.pushUp(r)
-			sp.End(&m.lc)
-			m.lc.Flush(m.tr)
+		if depth == 1 {
+			m.mineTask(t, r)
 			continue
 		}
-		m.mineRank(t, r, suffix, depth, false)
+		m.mineRank(t, r, suffix, depth)
 		t.pushUp(r)
 	}
+}
+
+// mineTask mines the initial tree's rank r as one top-level subtree task.
+// Traced, it attributes the task's wall time to the mining phase (and, when
+// a timeline is attached, retains the task as a span) and publishes the
+// batch accumulated during it.
+func (m *miner) mineTask(t *rpTree, r int) {
+	if m.tr == nil {
+		m.mineRank(t, r, nil, 1)
+		return
+	}
+	sp := m.tr.StartTask(m.taskLabel(t.order[r]), &m.lc)
+	m.mineRank(t, r, nil, 1)
+	sp.End(&m.lc)
+	m.lc.Flush(m.tr)
 }
 
 // taskLabel names a top-level subtree task by its suffix item, the label
@@ -175,36 +202,19 @@ func (m *miner) taskLabel(item tsdb.ItemID) string {
 // handed from the miner's tsStack; both are reclaimed (reset) as soon as
 // its subtree has been mined.
 //
-// TS^beta comes from one of three places. A conditional tree was handed
-// its lists by conditionalTree, which already applied the candidate check.
-// In subtree mode each header node's subtree is merged once (collectNodeTS)
-// and TS^beta is their union. Otherwise (the initial tree, sequentially)
-// collectTS merges the node lists that push-ups have accumulated.
-func (m *miner) mineRank(t *rpTree, r int, suffix []tsdb.ItemID, depth int, subtree bool) {
+// TS^beta is read, never merged: the initial tree's rank r posting list,
+// or the list conditionalTree handed down to a conditional tree after
+// already applying the candidate check.
+func (m *miner) mineRank(t *rpTree, r int, suffix []tsdb.ItemID, depth int) {
 	var tids []int64
-	var nodeTS [][]int64
-	pooled := true // tids is a pooled buffer to return once done
-	switch {
-	case t.held >= 0:
-		tids, pooled = m.ms.held.list(t.held+r), false
-	case subtree:
-		nodeTS = t.collectNodeTS(&m.ms, r, m.nodeTS[:0])
-		m.nodeTS = nodeTS
-		tids, pooled = m.ms.union(nodeTS)
-	default:
-		tids = t.collectTS(&m.ms, r, m.ms.getBuf())
+	if t.post != nil {
+		tids, _ = t.post.rank(r)
+	} else {
+		tids = m.sc.held.list(t.held + r)
 	}
-	release := func() {
-		if pooled {
-			m.ms.putBuf(tids)
-		}
-		m.ms.putBufs(nodeTS)
-	}
-	ts := gatherTS(m.ms.getBuf(), tids, t.tsOf)
-	rec, ipi, ok := m.examine(ts, t.held < 0)
-	m.ms.putBuf(ts)
+	m.sc.ts = gatherTS(m.sc.ts[:0], tids, t.tsOf)
+	rec, ipi, ok := m.examine(m.sc.ts, t.post != nil)
 	if !ok {
-		release()
 		return
 	}
 
@@ -215,20 +225,17 @@ func (m *miner) mineRank(t *rpTree, r int, suffix []tsdb.ItemID, depth int, subt
 		m.emit(beta, len(tids), rec, ipi)
 	}
 	if m.stop || (m.o.MaxLen > 0 && len(beta) >= m.o.MaxLen) {
-		release()
 		return
 	}
-	mark, held := m.arena.mark(), m.ms.held.mark()
-	cond := t.conditionalTree(&m.arena, &m.ms, m.o, r, tids, nodeTS)
-	release()
-	if cond != nil {
+	mark, held := m.arena.mark(), m.sc.held.mark()
+	if cond := t.conditionalTree(&m.arena, &m.sc, m.o, r, tids); cond != nil {
 		if m.res != nil && m.o.CollectStats {
 			m.res.Stats.TreeNodes += cond.nodes
 		}
 		m.mineTree(cond, beta, depth+1)
 	}
 	m.arena.reset(mark)
-	m.ms.held.reset(held)
+	m.sc.held.reset(held)
 }
 
 // examine applies the candidate check to TS^beta and, when it passes,
@@ -288,11 +295,9 @@ func mineParallel(ctx context.Context, t *rpTree, o Options, res *Result) (cance
 // mineRanks mines the given top-level ranks of t with a fixed pool of
 // Parallelism workers (minimum one) pulling rank indexes from a shared
 // atomic queue, so a heavy suffix item no longer serializes the tail of the
-// run the way the old goroutine-per-item semaphore did. The shared initial
-// tree is read-only in this mode: each worker merges subtree ts-lists
-// instead of relying on the sequential push-up mutation, which yields
-// exactly the same conditional bases (every descendant tail of an item's
-// node belongs to a transaction containing the item). Each rank's partial
+// run the way the old goroutine-per-item semaphore did. The initial tree is
+// read-only in every mode, so the workers share it; each mines a rank as
+// one mineTask, exactly as the sequential miner does. Each rank's partial
 // result has exactly one writer, and partials are merged in deterministic
 // rank order after the pool drains — which is what makes a shard-restricted
 // rank subset (core.MineShardContext) produce exactly the patterns the full
@@ -357,20 +362,8 @@ func mineWorker(t *rpTree, o Options, done <-chan struct{}, ranks []int, partial
 		if i >= len(ranks) {
 			return
 		}
-		r := ranks[i]
 		m.res = &partial[i]
-		var sp obs.TaskSpan
-		if m.tr != nil {
-			sp = m.tr.StartTask(m.taskLabel(t.order[r]), &m.lc)
-		}
-		m.mineRank(t, r, nil, 1, true)
-		if m.tr != nil {
-			// One subtree task per rank: time it (retaining the
-			// span when a timeline is attached) and publish the
-			// worker's batch (merge times, prune counts) with it.
-			sp.End(&m.lc)
-			m.lc.Flush(m.tr)
-		}
+		m.mineTask(t, ranks[i])
 		if m.cancelled {
 			stopped.Store(true)
 			return

@@ -35,52 +35,47 @@ func BenchmarkBuildRPTree(b *testing.B) {
 	}
 }
 
-func BenchmarkCollectTS(b *testing.B) {
+// BenchmarkPostingSplit measures the initial tree's share of the Section
+// 4.2.3 temporary arrays: for every rank, the counting pass that builds the
+// base paths and labels owners, then the split of the rank's postings into
+// per-path lists.
+func BenchmarkPostingSplit(b *testing.B) {
 	_, tree := benchWorkload()
-	var ms mergeScratch
-	// Mix of tail-only collection (fresh tree) and merge-heavy collection
-	// (after push-ups), like a mining run sees.
-	for r := len(tree.order) - 1; r > len(tree.order)/2; r-- {
-		tree.pushUp(r)
-	}
+	var sc mineScratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for r := len(tree.order) / 2; r >= 0; r-- {
-			ts := tree.collectTS(&ms, r, ms.getBuf())
-			if len(ts) == 0 {
-				b.Fatal("empty ts")
-			}
-			ms.putBuf(ts)
+		split := 0
+		for r := len(tree.order) - 1; r >= 0; r-- {
+			owner := growN(&sc.owner, len(tree.tsOf))
+			tree.basePostings(&sc, r, owner)
+			tree.splitPostings(&sc, r, owner)
+			split += len(sc.base)
+		}
+		if split == 0 {
+			b.Fatal("no base paths")
 		}
 	}
 }
 
-// BenchmarkConditionalTree measures subtree-mode construction, as the
-// parallel and shard miners run it: each rank's per-node subtree lists are
-// collected once, their union is TS^beta, and both go to conditionalTree.
+// BenchmarkConditionalTree measures construction from the initial tree, as
+// every miner runs it: TS^beta is the rank's posting list, and the split
+// happens inside conditionalTree when a tree is built.
 func BenchmarkConditionalTree(b *testing.B) {
 	o, tree := benchWorkload()
 	var arena nodeArena
-	var ms mergeScratch
-	var nodeTS [][]int64
+	var sc mineScratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		built := 0
 		for r := len(tree.order) - 1; r >= 1; r-- {
-			mark, held := arena.mark(), ms.held.mark()
-			nodeTS = tree.collectNodeTS(&ms, r, nodeTS[:0])
-			beta, pooled := ms.union(nodeTS)
-			if ct := tree.conditionalTree(&arena, &ms, o, r, beta, nodeTS); ct != nil {
+			mark, held := arena.mark(), sc.held.mark()
+			if ct := condTree(tree, &arena, &sc, o, r); ct != nil {
 				built++
 			}
-			if pooled {
-				ms.putBuf(beta)
-			}
-			ms.putBufs(nodeTS)
 			arena.reset(mark)
-			ms.held.reset(held)
+			sc.held.reset(held)
 		}
 		if built == 0 {
 			b.Fatal("no conditional trees built")
@@ -88,38 +83,42 @@ func BenchmarkConditionalTree(b *testing.B) {
 	}
 }
 
-// BenchmarkConditionalTreeSequential measures the sequential miner's
-// construction: rank r's conditional tree is built from node lists after
-// the push-ups of every deeper rank. conditionalTree does not mutate the
-// tree it reads, so one pushed-up tree per rank, and its TS^beta, are
-// prepared outside the timer.
-func BenchmarkConditionalTreeSequential(b *testing.B) {
+// BenchmarkConditionalTreeNested measures construction from a conditional
+// tree: rank c's tree is built from node lists after the push-ups of every
+// deeper rank, with its handed-down list as TS^beta. conditionalTree does
+// not mutate the tree it reads, so the first-level trees and their push-ups
+// are prepared once, outside the timer, in an arena of their own.
+func BenchmarkConditionalTreeNested(b *testing.B) {
 	o, tree := benchWorkload()
-	pushed := make([]*rpTree, len(tree.order))
-	betas := make([][]int64, len(tree.order))
-	var ms mergeScratch
+	type level struct {
+		ct *rpTree
+		c  int
+	}
+	var levels []level
+	var outer nodeArena
+	var sc mineScratch
 	for r := len(tree.order) - 1; r >= 0; r-- {
-		_, t := benchWorkload()
-		for d := len(t.order) - 1; d > r; d-- {
-			t.pushUp(d)
+		for c := ctLen(condTree(tree, &outer, &sc, o, r)) - 1; c >= 1; c-- {
+			// Each level gets its own copy, pushed up past c.
+			ct := condTree(tree, &outer, &sc, o, r)
+			for d := len(ct.order) - 1; d > c; d-- {
+				ct.pushUp(d)
+			}
+			levels = append(levels, level{ct, c})
 		}
-		pushed[r], betas[r] = t, t.collectTS(&ms, r, nil)
+	}
+	if len(levels) == 0 {
+		b.Fatal("no nested conditional trees")
 	}
 	var arena nodeArena
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		built := 0
-		for r := len(tree.order) - 1; r >= 1; r-- {
-			mark, held := arena.mark(), ms.held.mark()
-			if ct := pushed[r].conditionalTree(&arena, &ms, o, r, betas[r], nil); ct != nil {
-				built++
-			}
+		for _, l := range levels {
+			mark, held := arena.mark(), sc.held.mark()
+			l.ct.conditionalTree(&arena, &sc, o, l.c, sc.held.list(l.ct.held+l.c))
 			arena.reset(mark)
-			ms.held.reset(held)
-		}
-		if built == 0 {
-			b.Fatal("no conditional trees built")
+			sc.held.reset(held)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 
-	"github.com/recurpat/rp/internal/obs"
 	"github.com/recurpat/rp/internal/tsdb"
 )
 
@@ -33,15 +32,10 @@ func MineFuncContext(ctx context.Context, db *tsdb.DB, o Options, fn func(Patter
 		return &CancelError{Err: err}
 	}
 	defer o.Trace.StartTotal().End()
-	sp := o.Trace.Start(obs.PhaseScan)
-	list := BuildRPList(db, o)
-	sp.End()
-	if len(list.Candidates) == 0 {
+	tree := buildTree(ctx, db, o, &Result{})
+	if tree == nil {
 		return nil
 	}
-	sp = o.Trace.Start(obs.PhaseTreeBuild)
-	tree := buildRPTree(db, list)
-	sp.End()
 	m := newMiner(o)
 	m.fn, m.done = fn, ctx.Done()
 	m.mineTree(tree, nil, 1)

@@ -51,10 +51,11 @@ type Options struct {
 
 	// Trace, when non-nil, receives per-phase wall time and work counts
 	// for the run: the initial scan, tree construction, per-item subtree
-	// mining, ts-list merges and Erec prunes. Observations are batched
-	// per worker and flushed at subtree-task granularity, so tracing adds
-	// no synchronization to the per-node hot loops; a nil Trace costs a
-	// pointer check. Output is identical either way.
+	// mining, the initial tree's posting splits ("ts-merge") and Erec
+	// prunes. Observations are batched per worker and flushed at
+	// subtree-task granularity, so tracing adds no synchronization to the
+	// per-node hot loops; a nil Trace costs a pointer check. Output is
+	// identical either way.
 	Trace *obs.Trace
 }
 

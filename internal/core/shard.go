@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/recurpat/rp/internal/obs"
 	"github.com/recurpat/rp/internal/tsdb"
 )
 
@@ -50,7 +49,8 @@ func (s ShardSpec) Owns(rank int) bool { return rank%s.Count == s.Index }
 // spec: exactly the patterns whose deepest-ranked item falls in the shard's
 // residue class of the RP-list rank order. Every shard runs the same two
 // database scans (RP-list, initial RP-tree) and then mines only its owned
-// subtrees through the read-only subtree path, so shards share no state
+// subtrees, each as the same top-level task every miner runs on the
+// read-only initial tree, so shards share no state
 // and may run in different processes. The result is canonically ordered;
 // concatenating the Patterns of all Count shards (in any order) and
 // canonicalizing again reproduces MineContext's output byte for byte.
@@ -68,25 +68,14 @@ func MineShardContext(ctx context.Context, db *tsdb.DB, o Options, spec ShardSpe
 		return nil, &CancelError{Err: err}
 	}
 	defer o.Trace.StartTotal().End()
+	// Every shard builds the full initial tree, so summing shard stats
+	// overcounts TreeNodes by (Count-1) tree sizes; the reducer documents
+	// this (conditional-tree nodes, the dominant term, are counted exactly
+	// once since each shard only grows its own).
 	res := &Result{}
-	sp := o.Trace.Start(obs.PhaseScan)
-	list := BuildRPList(db, o)
-	sp.End()
-	if o.CollectStats {
-		res.Stats.CandidateItems = len(list.Candidates)
-	}
-	if len(list.Candidates) == 0 {
+	tree := buildTree(ctx, db, o, res)
+	if tree == nil {
 		return res, nil
-	}
-	sp = o.Trace.Start(obs.PhaseTreeBuild)
-	tree := buildRPTree(db, list)
-	sp.End()
-	if o.CollectStats {
-		// Every shard builds the full initial tree, so summing shard stats
-		// overcounts TreeNodes by (Count-1) tree sizes; the reducer
-		// documents this (conditional-tree nodes, the dominant term, are
-		// counted exactly once since each shard only grows its own).
-		res.Stats.TreeNodes += tree.nodes
 	}
 	ranks := make([]int, 0, (len(tree.order)+spec.Count-1)/spec.Count)
 	for r := range tree.order {
@@ -94,15 +83,5 @@ func MineShardContext(ctx context.Context, db *tsdb.DB, o Options, spec ShardSpe
 			ranks = append(ranks, r)
 		}
 	}
-	if mineRanks(ctx, tree, o, res, ranks) {
-		cerr := &CancelError{Err: ctx.Err()}
-		if o.CollectStats {
-			cerr.Stats = res.Stats
-		}
-		return nil, cerr
-	}
-	sp = o.Trace.Start(obs.PhaseFinalize)
-	res.Canonicalize()
-	sp.End()
-	return res, nil
+	return finish(ctx, o, res, mineRanks(ctx, tree, o, res, ranks))
 }

@@ -2,6 +2,7 @@ package ext
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/recurpat/rp/internal/core"
@@ -91,7 +92,12 @@ func (m *Monitor) Observe(ts int64, items ...string) ([]Alert, error) {
 		}
 	}
 	var alerts []Alert
-	low := ts - m.window
+	// The window's low edge, saturated at MinInt64: near the bottom of the
+	// int64 range ts - window would wrap and evict everything.
+	low := int64(math.MinInt64)
+	if ts >= math.MinInt64+m.window {
+		low = ts - m.window
+	}
 	for i := range m.watch {
 		w := &m.watch[i]
 		all := true

@@ -1,6 +1,7 @@
 package ext
 
 import (
+	"math"
 	"testing"
 
 	"github.com/recurpat/rp/internal/core"
@@ -149,5 +150,28 @@ func TestMonitorMatchesBatchMining(t *testing.T) {
 	// Table 2: ab, cd, ef recur; ag and c do not.
 	if len(rec) != 3 {
 		t.Fatalf("Recurring() = %v, want the three Table 2 pairs", rec)
+	}
+}
+
+func TestMonitorWindowAtMinInt64(t *testing.T) {
+	// At the bottom of the int64 range ts - window wraps; the window edge
+	// must saturate instead, or every observation is evicted on arrival.
+	m, err := NewMonitor(monitorOptions(), 10, [][]string{{"a"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fired []Alert
+	for ts := int64(math.MinInt64 + 1); ts < math.MinInt64+4; ts++ {
+		alerts, err := m.Observe(ts, "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fired = append(fired, alerts...)
+	}
+	if len(fired) != 1 || !fired[0].Recurring || fired[0].TS != math.MinInt64+3 {
+		t.Fatalf("alerts = %+v, want one start alert at the third observation", fired)
+	}
+	if got := len(m.watch[0].ts); got != 3 {
+		t.Fatalf("window holds %d observations, want 3", got)
 	}
 }

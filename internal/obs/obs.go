@@ -52,8 +52,11 @@ const (
 	// adds to the coordinator's top-level coverage sum. Labeled timeline
 	// spans put each shard on its own flight-recorder lane.
 	PhaseShard
-	// PhaseMerge counts and times the ts-list run merges (Section 4.2.2's
-	// TS-list construction). Nested inside PhaseMine.
+	// PhaseMerge counts and times the initial tree's posting splits: the
+	// per-rank posting list divided into the base-path ts-lists of one
+	// conditional tree (Section 4.2.3's temporary arrays), one count per
+	// split. It keeps the name "ts-merge" because traces and rpperf's
+	// per-layer rows read it by that name. Nested inside PhaseMine.
 	PhaseMerge
 	// PhasePrune counts pattern extensions cut by the Erec candidate
 	// bound before recurrence evaluation (Property 2). Nested inside
