@@ -49,13 +49,15 @@
 //	                            Mining samples carry pprof labels
 //	                            (request_id, dataset_fp, phase), so a capture
 //	                            attributes CPU to the requests it overlapped
-//	GET  /debug/vars expvar, including the rpserved stats payload
 //	GET  /debug/pprof/...  net/http/pprof, only with -pprof
 //
-// Every /v1/mine request emits one structured access-log line (log/slog,
-// logfmt) on stderr with a unique request id, the database fingerprint, an
-// options digest, the outcome (ok, cache-hit, shed, cancelled, ...), queue
-// wait and mine time. Request bodies beyond -max-body are rejected with 413.
+// /v1/mine and /v1/shard/mine share one request pipeline: decode, resolve
+// the database, admission, the traced and cost-accounted run, and one
+// outcome mapping. Every request on either emits one structured access-log
+// line (log/slog, logfmt) on stderr with a unique request id, the database
+// fingerprint, an options digest, the outcome (ok, cache-hit, shard-ok,
+// shed, cancelled, ...), queue wait and mine time. Request bodies beyond
+// -max-body are rejected with 413 on both.
 //
 // With -peers, this server becomes a scatter-gather coordinator: each
 // executed mine splits into -shards tasks POSTed to the peers'
@@ -197,7 +199,6 @@ func run(args []string, logDst io.Writer) error {
 	if err != nil {
 		return err
 	}
-	srv.PublishExpvar()
 	for _, name := range sortedNames(dbs) {
 		db := dbs[name]
 		fmt.Fprintf(logw, "rpserved: serving %q: %d transactions, fingerprint %016x\n",

@@ -40,8 +40,8 @@ type cachedResult struct {
 	mineTime time.Duration // wall time of the run that produced it
 
 	// partial and failedShards mark a best-effort scatter that lost
-	// shards. Partial results are never actually cached (runMine skips the
-	// put), but they flow through this type to the response writer.
+	// shards. Partial results are never actually cached (mineAndCache skips
+	// the put), but they flow through this type to the response writer.
 	partial      bool
 	failedShards []int
 

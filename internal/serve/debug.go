@@ -16,10 +16,10 @@ import (
 	"github.com/recurpat/rp/internal/obs"
 )
 
-// journalRecord retains one finished /v1/mine request in the journal; a
-// no-op when the journal is disabled. Called from handleMine's deferred
-// access logger, so every exit path — served, cached, coalesced, shed,
-// cancelled, failed — lands here exactly once.
+// journalRecord retains one finished request in the journal; a no-op when
+// the journal is disabled. Called from the mining pipeline's deferred
+// finish (and the upload handler's logger), so every exit path — served,
+// cached, coalesced, shed, cancelled, failed — lands here exactly once.
 func (s *Server) journalRecord(rec *accessRecord, start time.Time, elapsed time.Duration) {
 	if s.journal == nil {
 		return

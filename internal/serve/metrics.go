@@ -8,34 +8,19 @@ import (
 	"github.com/recurpat/rp/internal/obs"
 )
 
-// histBounds are the upper bounds of the mining-time histogram buckets;
-// an implicit final bucket catches everything slower. The spacing is
-// decade-wise because mining time spans from sub-millisecond toy requests
-// to multi-second full-scale runs. The same bounds serve the per-phase
-// histograms: phases are fractions of mining time, so they need the same
-// dynamic range one decade down, which the sub-millisecond buckets cover.
-var histBounds = [...]time.Duration{
-	time.Millisecond,
-	10 * time.Millisecond,
-	100 * time.Millisecond,
-	time.Second,
-	10 * time.Second,
-}
-
-// histBoundsSeconds is histBounds in the unit Prometheus conventions
-// require for time series (seconds).
-var histBoundsSeconds = func() []float64 {
-	s := make([]float64, len(histBounds))
-	for i, b := range histBounds {
-		s[i] = b.Seconds()
-	}
-	return s
-}()
+// histBounds are the upper bounds of the time histograms' buckets, in
+// nanoseconds (1ms to 10s); an implicit final bucket catches everything
+// slower. The spacing is decade-wise because mining time spans from
+// sub-millisecond toy requests to multi-second full-scale runs. The same
+// bounds serve the per-phase and CPU-time histograms: phases are fractions
+// of mining time, so they need the same dynamic range one decade down,
+// which the sub-millisecond buckets cover.
+var histBounds = [...]int64{1e6, 1e7, 1e8, 1e9, 1e10}
 
 // byteBounds are the upper bounds of the per-request allocation histogram,
 // spaced in decades-of-16 because request alloc cost spans from a cached
 // toy mine's bookkeeping to a full-scale run's working set.
-var byteBounds = [...]int64{
+var byteBounds = [len(histBounds)]int64{
 	64 << 10,  // 64 KiB
 	1 << 20,   // 1 MiB
 	16 << 20,  // 16 MiB
@@ -43,68 +28,83 @@ var byteBounds = [...]int64{
 	4 << 30,   // 4 GiB
 }
 
-// byteBoundsFloat is byteBounds as Prometheus `le` values.
-var byteBoundsFloat = func() []float64 {
-	s := make([]float64, len(byteBounds))
-	for i, b := range byteBounds {
-		s[i] = float64(b)
+// histUnit fixes what a hist measures: its buckets' inclusive upper
+// bounds, how a bound reads in the /v1/stats JSON, and how many observed
+// units make one Prometheus base unit.
+type histUnit interface {
+	bounds() []int64
+	label(bound int64) string
+	perBase() float64
+}
+
+// nanos is the unit of the wall- and CPU-time histograms, exposed to
+// Prometheus in seconds.
+type nanos struct{}
+
+func (nanos) bounds() []int64      { return histBounds[:] }
+func (nanos) label(b int64) string { return time.Duration(b).String() }
+func (nanos) perBase() float64     { return 1e9 }
+
+// byteSize is the unit of the allocation histogram.
+type byteSize struct{}
+
+func (byteSize) bounds() []int64      { return byteBounds[:] }
+func (byteSize) label(b int64) string { return formatBytes(b) }
+func (byteSize) perBase() float64     { return 1 }
+
+// hist is a bucketed histogram: per-bucket (non-cumulative) counts plus
+// the observed total, all updated atomically. The zero value is empty and
+// ready to use; U fixes the bucket layout.
+type hist[U histUnit] struct {
+	counts [len(histBounds) + 1]atomic.Int64
+	total  atomic.Int64
+}
+
+func (h *hist[U]) observe(v int64) {
+	h.total.Add(v)
+	var u U
+	bounds := u.bounds()
+	i := 0
+	for i < len(bounds) && v > bounds[i] {
+		i++
 	}
-	return s
-}()
-
-// durationHist is one wall-time histogram: per-bucket (non-cumulative)
-// counts plus the total observed time, all updated atomically.
-type durationHist struct {
-	buckets [len(histBounds) + 1]atomic.Int64
-	nanos   atomic.Int64
+	h.counts[i].Add(1)
 }
 
-func (h *durationHist) observe(d time.Duration) {
-	h.nanos.Add(int64(d))
-	for i, b := range histBounds {
-		if d <= b {
-			h.buckets[i].Add(1)
-			return
-		}
+// snapshot copies the bucket counts and the total.
+func (h *hist[U]) snapshot() (counts [len(histBounds) + 1]int64, total int64) {
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
 	}
-	h.buckets[len(histBounds)].Add(1)
+	return counts, h.total.Load()
 }
 
-// snapshot copies the bucket counts.
-func (h *durationHist) snapshot() (buckets [len(histBounds) + 1]int64, nanos int64) {
-	for i := range h.buckets {
-		buckets[i] = h.buckets[i].Load()
+// buckets renders the bucket counts in one of the /v1/stats JSON shapes,
+// built by mk from each bucket's label, raw bound (-1 for +Inf) and count.
+func buckets[B any, U histUnit](h *hist[U], mk func(le string, bound, count int64) B) []B {
+	var u U
+	counts, _ := h.snapshot()
+	out := make([]B, 0, len(counts))
+	for i, b := range u.bounds() {
+		out = append(out, mk(u.label(b), b, counts[i]))
 	}
-	return buckets, h.nanos.Load()
+	return append(out, mk("+Inf", -1, counts[len(counts)-1]))
 }
 
-// byteHist is durationHist's shape over byte sizes: per-bucket counts plus
-// the total observed bytes.
-type byteHist struct {
-	buckets [len(byteBounds) + 1]atomic.Int64
-	bytes   atomic.Int64
-}
-
-func (h *byteHist) observe(n int64) {
-	h.bytes.Add(n)
-	for i, b := range byteBounds {
-		if n <= b {
-			h.buckets[i].Add(1)
-			return
-		}
+// writeProm renders the histogram as one Prometheus series, bounds and
+// total converted to the unit's base unit.
+func (h *hist[U]) writeProm(p *obs.PromWriter, name, help string, labels map[string]string) {
+	var u U
+	counts, total := h.snapshot()
+	les := make([]float64, len(u.bounds()))
+	for i, b := range u.bounds() {
+		les[i] = float64(b) / u.perBase()
 	}
-	h.buckets[len(byteBounds)].Add(1)
+	p.Histogram(name, help, labels, les, counts[:], float64(total)/u.perBase())
 }
 
-func (h *byteHist) snapshot() (buckets [len(byteBounds) + 1]int64, bytes int64) {
-	for i := range h.buckets {
-		buckets[i] = h.buckets[i].Load()
-	}
-	return buckets, h.bytes.Load()
-}
-
-// metrics aggregates the serving counters reported by /v1/stats, exported
-// through /debug/vars, and rendered as Prometheus text by /metrics. Every
+// metrics aggregates the serving counters reported by /v1/stats and
+// rendered as Prometheus text by /metrics. Every
 // field is updated atomically; one value is shared by all handler
 // goroutines.
 type metrics struct {
@@ -116,7 +116,7 @@ type metrics struct {
 	timeouts    atomic.Int64 // mines stopped by the server-side deadline
 	errors      atomic.Int64 // other failed requests (bad input, unknown db, oversized body)
 	mined       atomic.Int64 // mining runs actually executed
-	mining      durationHist // wall time per executed mining run
+	mining      hist[nanos]  // wall time per executed mining run
 
 	uploads          atomic.Int64 // POST /v1/datasets requests received
 	datasetEvictions atomic.Int64 // datasets displaced by the registry's LRU bounds
@@ -127,27 +127,27 @@ type metrics struct {
 	// requestAlloc and requestCPU histogram the per-request resource cost
 	// measured around the executed mining section (leaders and shard tasks;
 	// cache hits re-serve the producing run's cost and are not re-counted).
-	requestAlloc byteHist
-	requestCPU   durationHist
+	requestAlloc hist[byteSize]
+	requestCPU   hist[nanos]
 
 	// phases histograms the per-phase wall time of every executed mine,
 	// one histogram per algorithm phase of the tracer's taxonomy. Nested
 	// phases (ts-merge) record their aggregate time per run like the
 	// others; count-only phases (erec-prune) stay at zero and are elided
 	// from the exposition.
-	phases [obs.NumPhases]durationHist
+	phases [obs.NumPhases]hist[nanos]
 }
 
 // observeMineTime records one completed mining run in the histogram.
 func (m *metrics) observeMineTime(d time.Duration) {
 	m.mined.Add(1)
-	m.mining.observe(d)
+	m.mining.observe(int64(d))
 }
 
 // observeCost records one executed mine's resource cost.
 func (m *metrics) observeCost(allocBytes uint64, cpu time.Duration) {
 	m.requestAlloc.observe(int64(allocBytes))
-	m.requestCPU.observe(cpu)
+	m.requestCPU.observe(int64(cpu))
 }
 
 // observeTrace folds one run's phase report into the per-phase histograms.
@@ -157,7 +157,7 @@ func (m *metrics) observeTrace(r obs.PhaseReport) {
 			break
 		}
 		if s.Nanos > 0 {
-			m.phases[i].observe(time.Duration(s.Nanos))
+			m.phases[i].observe(s.Nanos)
 		}
 	}
 }
@@ -174,16 +174,6 @@ type HistBucket struct {
 	// Count is the number of mines that completed within the bound
 	// (non-cumulative: each mine lands in exactly one bucket).
 	Count int64 `json:"count"`
-}
-
-// histSnapshot renders a durationHist's buckets with their bounds.
-func histSnapshot(h *durationHist) []HistBucket {
-	buckets, _ := h.snapshot()
-	out := make([]HistBucket, 0, len(buckets))
-	for i, b := range histBounds {
-		out = append(out, HistBucket{LE: b.String(), LENanos: int64(b), Count: buckets[i]})
-	}
-	return append(out, HistBucket{LE: "+Inf", LENanos: -1, Count: buckets[len(histBounds)]})
 }
 
 // ByteBucket is one byte-size histogram bucket in a stats snapshot, the
@@ -213,15 +203,9 @@ func formatBytes(n int64) string {
 	}
 }
 
-// byteHistSnapshot renders a byteHist's buckets with their bounds.
-func byteHistSnapshot(h *byteHist) []ByteBucket {
-	buckets, _ := h.snapshot()
-	out := make([]ByteBucket, 0, len(buckets))
-	for i, b := range byteBounds {
-		out = append(out, ByteBucket{LE: formatBytes(b), LEBytes: b, Count: buckets[i]})
-	}
-	return append(out, ByteBucket{LE: "+Inf", LEBytes: -1, Count: buckets[len(byteBounds)]})
-}
+// histBucket and byteBucket build the two JSON bucket shapes.
+func histBucket(le string, bound, count int64) HistBucket { return HistBucket{le, bound, count} }
+func byteBucket(le string, bound, count int64) ByteBucket { return ByteBucket{le, bound, count} }
 
 // MetricsSnapshot is a point-in-time copy of the serving counters.
 type MetricsSnapshot struct {
@@ -262,8 +246,8 @@ func (m *metrics) snapshot() MetricsSnapshot {
 		Timeouts:      m.timeouts.Load(),
 		Errors:        m.errors.Load(),
 		Mined:         m.mined.Load(),
-		MiningMSTotal: float64(m.mining.nanos.Load()) / 1e6,
-		MiningTime:    histSnapshot(&m.mining),
+		MiningMSTotal: float64(m.mining.total.Load()) / 1e6,
+		MiningTime:    buckets(&m.mining, histBucket),
 
 		Uploads:          m.uploads.Load(),
 		DatasetEvictions: m.datasetEvictions.Load(),
@@ -271,10 +255,10 @@ func (m *metrics) snapshot() MetricsSnapshot {
 		ShardRequests: m.shardRequests.Load(),
 		ShardMined:    m.shardMined.Load(),
 
-		RequestAllocBytesTotal: m.requestAlloc.bytes.Load(),
-		RequestAllocBytes:      byteHistSnapshot(&m.requestAlloc),
-		RequestCPUMSTotal:      float64(m.requestCPU.nanos.Load()) / 1e6,
-		RequestCPUTime:         histSnapshot(&m.requestCPU),
+		RequestAllocBytesTotal: m.requestAlloc.total.Load(),
+		RequestAllocBytes:      buckets(&m.requestAlloc, byteBucket),
+		RequestCPUMSTotal:      float64(m.requestCPU.total.Load()) / 1e6,
+		RequestCPUTime:         buckets(&m.requestCPU, histBucket),
 	}
 }
 
@@ -295,27 +279,14 @@ func (m *metrics) writeProm(p *obs.PromWriter) {
 	p.Counter("rpserved_shard_requests_total", "Shard mine requests received.", float64(m.shardRequests.Load()))
 	p.Counter("rpserved_shard_mined_total", "Shard tasks executed to completion.", float64(m.shardMined.Load()))
 
-	buckets, nanos := m.mining.snapshot()
-	p.Histogram("rpserved_mining_seconds", "Wall time per executed mining run.",
-		nil, histBoundsSeconds, buckets[:], float64(nanos)/1e9)
-
-	allocBuckets, allocBytes := m.requestAlloc.snapshot()
-	p.Histogram("rpserved_request_alloc_bytes", "Heap bytes allocated per executed mining section.",
-		nil, byteBoundsFloat, allocBuckets[:], float64(allocBytes))
-	cpuBuckets, cpuNanos := m.requestCPU.snapshot()
-	p.Histogram("rpserved_request_cpu_seconds", "Process CPU time consumed per executed mining section.",
-		nil, histBoundsSeconds, cpuBuckets[:], float64(cpuNanos)/1e9)
-
+	m.mining.writeProm(p, "rpserved_mining_seconds", "Wall time per executed mining run.", nil)
+	m.requestAlloc.writeProm(p, "rpserved_request_alloc_bytes", "Heap bytes allocated per executed mining section.", nil)
+	m.requestCPU.writeProm(p, "rpserved_request_cpu_seconds", "Process CPU time consumed per executed mining section.", nil)
 	for ph := obs.Phase(0); ph < obs.NumPhases; ph++ {
-		buckets, nanos := m.phases[ph].snapshot()
-		count := int64(0)
-		for _, b := range buckets {
-			count += b
-		}
-		if count == 0 {
+		if counts, _ := m.phases[ph].snapshot(); counts == ([len(counts)]int64{}) {
 			continue // count-only phases (erec-prune) have no time series
 		}
-		p.Histogram("rpserved_phase_seconds", "Wall time per mining run attributed to one algorithm phase.",
-			map[string]string{"phase": ph.String()}, histBoundsSeconds, buckets[:], float64(nanos)/1e9)
+		m.phases[ph].writeProm(p, "rpserved_phase_seconds", "Wall time per mining run attributed to one algorithm phase.",
+			map[string]string{"phase": ph.String()})
 	}
 }

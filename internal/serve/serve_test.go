@@ -414,14 +414,14 @@ func TestHealthzAndDebugVars(t *testing.T) {
 		t.Errorf("healthz: status %d body %q", resp.StatusCode, body)
 	}
 
+	// /v1/stats serves what /debug/vars used to; the expvar endpoint is gone.
 	resp, err = http.Get(hs.URL + "/debug/vars")
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "memstats") {
-		t.Errorf("debug/vars: status %d, body lacks memstats", resp.StatusCode)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("debug/vars: status %d, want 404", resp.StatusCode)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -226,9 +226,10 @@ type Server struct {
 	journal  *journal // nil when Config.JournalSize is negative
 	handler  http.Handler
 
-	// mineFn runs one mine; tests substitute stubs to simulate slow or
-	// failing miners without real databases.
-	mineFn func(ctx context.Context, db *tsdb.DB, o core.Options) (*core.Result, error)
+	// mineFn runs one mine and shardFn one shard task; tests substitute
+	// stubs to simulate slow or failing miners without real databases.
+	mineFn  func(ctx context.Context, db *tsdb.DB, o core.Options) (*core.Result, error)
+	shardFn func(ctx context.Context, db *tsdb.DB, o core.Options, spec core.ShardSpec) (*core.Result, error)
 
 	// shardClient and coord are set in peers mode (Config.Peers): executed
 	// mines scatter over the peer set instead of running locally.
@@ -261,6 +262,7 @@ func NewServer(cfg Config, dbs map[string]*tsdb.DB) (*Server, error) {
 		cache:    newResultCache(cfg.CacheSize),
 		flight:   newFlightGroup(),
 		mineFn:   core.MineContext,
+		shardFn:  core.MineShardContext,
 	}
 	if cfg.JournalSize > 0 {
 		s.journal = newJournal(cfg.JournalSize, cfg.SlowThreshold)
@@ -315,7 +317,6 @@ func NewServer(cfg Config, dbs map[string]*tsdb.DB) (*Server, error) {
 	mux.HandleFunc("GET /v1/fleet/stats", s.handleFleetStats)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	mux.HandleFunc("GET /debug/requests", s.handleDebugRequests)
 	mux.HandleFunc("GET /debug/requests/trace", s.handleRequestTrace)
 	mux.HandleFunc("GET /debug/profiles", s.handleProfiles)
@@ -341,14 +342,6 @@ func (s *Server) Close() {
 	if s.recorder != nil {
 		s.recorder.Stop()
 	}
-}
-
-// PublishExpvar exposes this server's stats payload as the expvar variable
-// "rpserved" (rendered by GET /debug/vars alongside the runtime's
-// memstats). Expvar registration is global and permanent, so this must be
-// called at most once per process; cmd/rpserved calls it, tests do not.
-func (s *Server) PublishExpvar() {
-	expvar.Publish("rpserved", expvar.Func(func() any { return s.statsPayload() }))
 }
 
 // BeginDrain flips the server into draining mode: new mines are refused
@@ -418,8 +411,9 @@ func (s *Server) endMine() {
 // get cancelled out from under it.
 const maxMineAttempts = 3
 
-// accessRecord accumulates one /v1/mine request's access-log fields; the
-// deferred logger in handleMine emits it however the request ends.
+// accessRecord accumulates one request's access-log and journal fields;
+// the deferred finish of a mining request (or the upload handler's own
+// logger) emits it however the request ends.
 type accessRecord struct {
 	id        string
 	db        string
@@ -433,8 +427,8 @@ type accessRecord struct {
 	mineTime  time.Duration // the producing mine's wall time (historic on cache hits)
 
 	// allocBytes and cpuTime are the producing mine's resource cost,
-	// measured as process-counter deltas around the single-flight mining
-	// section (historic on cache hits; an upper bound when mines overlap).
+	// measured as process-counter deltas around the mining section
+	// (historic on cache hits; an upper bound when mines overlap).
 	allocBytes uint64
 	cpuTime    time.Duration
 
@@ -474,86 +468,240 @@ func optionsDigest(o core.Options) string {
 		o.Per, o.MinPS, o.MinRec, o.MaxLen, o.Parallelism, order, erec)
 }
 
-func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
-	start := now()
-	s.metrics.requests.Add(1)
-	rec := &accessRecord{id: obs.RequestID(), outcome: "ok", status: http.StatusOK}
-	defer func() {
-		elapsed := time.Since(start)
-		s.cfg.Logger.Info("mine",
-			"id", rec.id, "db", rec.db, "fp", rec.fp, "opts", rec.opts,
-			"outcome", rec.outcome, "status", rec.status, "cached", rec.cached,
-			"patterns", rec.patterns,
-			"queueMS", float64(rec.queueWait)/1e6,
-			"mineMS", float64(rec.mineTime)/1e6,
-			"allocBytes", rec.allocBytes,
-			"cpuMS", float64(rec.cpuTime)/1e6,
-			"elapsedMS", float64(elapsed)/1e6)
-		s.journalRecord(rec, start, elapsed)
-	}()
+// mineCall carries one request through the mining pipeline that
+// POST /v1/mine and POST /v1/shard/mine share. The stages are decode
+// (decodeBody), target (database and options), run (the admitted, traced,
+// cost-accounted mine) and finish (access log and journal); failRun is the
+// one mapping from a run's failure to its outcome and status. Each stage
+// writes its own failure response and reports whether the request goes
+// on. The two handlers are adapters that add only what differs: the cache
+// and single-flight group (/v1/mine), the executor, the response type and
+// the success outcome.
+type mineCall struct {
+	s     *Server
+	w     http.ResponseWriter
+	r     *http.Request
+	start time.Time
+	log   string // access-log message: "mine" or "shard-mine"
+	rec   accessRecord
+}
 
-	body := r.Body
-	if s.cfg.MaxBody > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
+// newCall starts a mining request under the given ID, minting one when
+// id is empty.
+func (s *Server) newCall(w http.ResponseWriter, r *http.Request, log, okOutcome, id string) *mineCall {
+	if id == "" {
+		id = obs.RequestID()
 	}
-	req, err := api.DecodeMineRequest(body)
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			// Distinct from plain bad requests: a too-large body usually
-			// means a client is POSTing the database instead of naming it.
-			rec.deny("body-too-large", http.StatusRequestEntityTooLarge)
-			s.fail(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds the %d-byte limit", mbe.Limit)
-			return
-		}
-		rec.deny("bad-request", http.StatusBadRequest)
-		s.fail(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
+	return &mineCall{s: s, w: w, r: r, start: now(), log: log,
+		rec: accessRecord{id: id, outcome: okOutcome, status: http.StatusOK}}
+}
 
-	// Resolve the target: a registered dataset by fingerprint, or a
-	// preloaded database by name. Either way no transaction data rides in
-	// the request — mine-by-reference is what makes repeat mining cheap.
-	var ent *dbEntry
+// finish emits the request's access-log line and journal entry; handlers
+// defer it, so every exit path lands here exactly once.
+func (c *mineCall) finish() {
+	rec := &c.rec
+	elapsed := time.Since(c.start)
+	attrs := []any{"id", rec.id, "db", rec.db, "fp", rec.fp, "opts", rec.opts,
+		"outcome", rec.outcome, "status", rec.status}
+	if c.log == "mine" {
+		attrs = append(attrs, "cached", rec.cached)
+	}
+	c.s.cfg.Logger.Info(c.log, append(attrs,
+		"patterns", rec.patterns,
+		"queueMS", float64(rec.queueWait)/1e6,
+		"mineMS", float64(rec.mineTime)/1e6,
+		"allocBytes", rec.allocBytes,
+		"cpuMS", float64(rec.cpuTime)/1e6,
+		"elapsedMS", float64(elapsed)/1e6)...)
+	c.s.journalRecord(rec, c.start, elapsed)
+}
+
+// fail records a failed outcome and writes the error, counted in the
+// errors metric.
+func (c *mineCall) fail(outcome string, status int, format string, args ...any) {
+	c.rec.deny(outcome, status)
+	c.s.fail(c.w, status, format, args...)
+}
+
+// decodeBody is the decode stage: the MaxBody limit and a strict decode.
+func decodeBody[T any](c *mineCall, decode func(io.Reader) (*T, error)) (*T, bool) {
+	body := c.r.Body
+	if c.s.cfg.MaxBody > 0 {
+		body = http.MaxBytesReader(c.w, c.r.Body, c.s.cfg.MaxBody)
+	}
+	req, err := decode(body)
+	var mbe *http.MaxBytesError
+	switch {
+	case errors.As(err, &mbe):
+		// Distinct from plain bad requests: a too-large body usually
+		// means a client is POSTing the database instead of naming it.
+		c.fail("body-too-large", http.StatusRequestEntityTooLarge,
+			"request body exceeds the %d-byte limit", mbe.Limit)
+	case err != nil:
+		c.fail("bad-request", http.StatusBadRequest, "decoding request: %v", err)
+	}
+	return req, err == nil
+}
+
+// target is the resolve stage: the database the request addresses, and
+// the request's options resolved against it. No transaction data rides in
+// a request — mine-by-reference is what makes repeat mining cheap. A
+// dataset is found by fingerprint in the registry, a db by name among the
+// preloaded databases, and a bare fingerprint (shard tasks) among both. A
+// fingerprint given beside a name pins that database's content: shards of
+// one mine must agree on bytes, not on names.
+func (c *mineCall) target(req *api.MineRequest, fingerprint string) (*dbEntry, core.Options, bool) {
+	s := c.s
+	var (
+		ent    *dbEntry
+		status int
+		err    error
+	)
+	outcome := "unknown-db"
 	switch {
 	case req.Dataset != "" && req.DB != "":
-		rec.deny("bad-request", http.StatusBadRequest)
-		s.fail(w, http.StatusBadRequest, "serve: set db or dataset, not both")
-		return
+		outcome, status, err = "bad-request", http.StatusBadRequest, errors.New("serve: set db or dataset, not both")
 	case req.Dataset != "":
-		var status int
-		var err error
+		outcome = "unknown-dataset"
 		ent, status, err = s.lookupDataset(req.Dataset)
-		if err != nil {
-			rec.deny("unknown-dataset", status)
-			s.fail(w, status, "%v", err)
-			return
-		}
+	case req.DB == "" && fingerprint != "":
+		ent, status, err = s.lookupFingerprint(fingerprint)
 	default:
-		var status int
-		var err error
 		ent, status, err = s.lookupDB(req.DB)
-		if err != nil {
-			rec.deny("unknown-db", status)
-			s.fail(w, status, "%v", err)
-			return
+	}
+	if err == nil && fingerprint != "" {
+		var fp uint64
+		if fp, err = parseFingerprint(fingerprint); err != nil {
+			status = http.StatusBadRequest
+		} else if fp != ent.fp {
+			status, err = http.StatusConflict, fmt.Errorf(
+				"serve: database %q has fingerprint %016x, task wants %s", ent.name, ent.fp, fingerprint)
 		}
 	}
-	rec.db, rec.fp = ent.name, fmt.Sprintf("%016x", ent.fp)
+	if err != nil {
+		c.fail(outcome, status, "%v", err)
+		return nil, core.Options{}, false
+	}
+	c.rec.db, c.rec.fp = ent.name, fmt.Sprintf("%016x", ent.fp)
 
 	// Threshold resolution and validation live in the api package so the
-	// shard endpoint, remote peers and this handler can never disagree.
+	// shard endpoint, remote peers and the mine handler can never disagree.
 	o, err := req.ToCoreOptions(ent.db.Len())
 	if err != nil {
-		rec.deny("invalid-options", http.StatusBadRequest)
-		s.fail(w, http.StatusBadRequest, "%v", err)
+		c.fail("invalid-options", http.StatusBadRequest, "%v", err)
+		return nil, core.Options{}, false
+	}
+	o.Parallelism = min(o.Parallelism, s.cfg.MaxParallelism)
+	c.rec.opts = optionsDigest(o)
+	return ent, o, true
+}
+
+// run is the admitted-run stage: drain accounting, admission, the
+// MineTimeout deadline, request-ID and pprof labels, the run's trace, the
+// executor itself, and its cost. The executor is the peers-mode scatter,
+// the local miner or one shard task; only a best-effort scatter sets
+// Partial. The trace starts before admission, so a kept timeline begins at
+// request arrival and shows the slot wait as a "queue" span. Queue wait,
+// mine time, cost, phase report and timeline land in c.rec.
+func (c *mineCall) run(o core.Options, keepTimeline bool,
+	exec func(ctx context.Context, o core.Options) (*shard.Result, error)) (*shard.Result, error) {
+	s, rec, ctx := c.s, &c.rec, c.r.Context()
+	o.Trace = obs.NewTrace()
+	var tl *obs.Timeline
+	if keepTimeline {
+		tl = obs.NewTimeline(s.cfg.TimelineSpans)
+		o.Trace.AttachTimeline(tl)
+	}
+
+	if err := s.beginMine(); err != nil {
+		return nil, err
+	}
+	defer s.endMine()
+	queued := now()
+	err := s.adm.acquire(ctx)
+	rec.queueWait = time.Since(queued)
+	if err != nil {
+		return nil, err
+	}
+	defer s.adm.release()
+	tl.RecordSpan("queue", "", queued, rec.queueWait)
+
+	if s.cfg.MineTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.MineTimeout)
+		defer cancel()
+	}
+	// Stamp the request's ID on the mining context: in peers mode the shard
+	// client forwards it to every peer (request body and X-Request-Id), so
+	// the coordinator's and the peers' journals join on one ID. The pprof
+	// labels make any continuous-profiling CPU capture taken during the run
+	// attribute its samples to this request and database.
+	ctx = obs.WithRequestID(ctx, rec.id)
+	ctx = obs.WithMineLabels(ctx, rec.id, rec.fp)
+	begin := now()
+	cost0 := prof.ReadCost()
+	res, err := exec(ctx, o)
+	if err != nil {
+		return nil, err
+	}
+	rec.mineTime = time.Since(begin)
+	// Process-counter deltas around the mining section: exact while one
+	// mine runs at a time, an upper bound when mines overlap (the journal
+	// and docs say so). CPU is rusage-based, so it includes all worker
+	// goroutines' time, which is the point.
+	cost := prof.ReadCost().Sub(cost0)
+	rec.allocBytes, rec.cpuTime = cost.AllocBytes, cost.CPU
+	rec.report, rec.timeline = o.Trace.Report(), tl.Snapshot()
+	s.metrics.observeCost(cost.AllocBytes, cost.CPU)
+	return res, nil
+}
+
+// failRun is the one mapping from a run that produced no result to the
+// request's outcome and status. Shed, draining, cancelled and timed-out
+// runs are not errors: they have counters (or none) of their own.
+func (c *mineCall) failRun(err error) {
+	s := c.s
+	var outcome string
+	status, msg := http.StatusServiceUnavailable, err.Error()
+	switch {
+	case errors.Is(err, errShed):
+		s.metrics.shed.Add(1)
+		c.w.Header().Set("Retry-After", "1")
+		outcome, status = "shed", http.StatusTooManyRequests
+	case errors.Is(err, errDraining):
+		outcome = "draining"
+	case c.r.Context().Err() != nil:
+		// The client cancelled or disconnected; it won't read this, but
+		// record the outcome for logs and metrics.
+		s.metrics.cancelled.Add(1)
+		outcome, status, msg = "cancelled", statusClientClosedRequest, "client cancelled request"
+	case errors.Is(err, context.DeadlineExceeded):
+		s.metrics.timeouts.Add(1)
+		outcome, msg = "timeout", fmt.Sprintf("mine exceeded the server-side time limit of %v", s.cfg.MineTimeout)
+	default:
+		c.fail("error", http.StatusInternalServerError, "mining failed: %v", err)
 		return
 	}
-	if o.Parallelism > s.cfg.MaxParallelism {
-		o.Parallelism = s.cfg.MaxParallelism
+	c.rec.deny(outcome, status)
+	s.writeError(c.w, status, msg)
+}
+
+// handleMine adapts the pipeline to POST /v1/mine: results are cached and
+// identical concurrent mines coalesce in the single-flight group, whose
+// leader runs the local miner or, in peers mode, the scatter-gather
+// coordinator.
+func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
+	s.metrics.requests.Add(1)
+	c := s.newCall(w, r, "mine", "ok", "")
+	defer c.finish()
+	req, ok := decodeBody(c, api.DecodeMineRequest)
+	if !ok {
+		return
 	}
-	rec.opts = optionsDigest(o)
+	ent, o, ok := c.target(req, "")
+	if !ok {
+		return
+	}
 	// Mine with stats unconditionally (the counters cost nothing next to
 	// the mining itself) so one cached entry serves stats and no-stats
 	// requests alike; the response includes them only on request.
@@ -568,176 +716,47 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		order:  o.ItemOrder,
 		noErec: o.DisableErecPruning,
 	}
-	if v, ok := s.cache.get(key); ok {
+	v, cached := s.cache.get(key)
+	if cached {
 		s.metrics.cacheHits.Add(1)
-		rec.outcome, rec.cached = "cache-hit", true
-		rec.patterns = len(v.patterns)
-		rec.inherit(v)
-		s.writeMineResponse(w, ent, req, v, true, start)
-		return
-	}
-	s.metrics.cacheMisses.Add(1)
-
-	var (
-		v      *cachedResult
-		mErr   error
-		leader bool
-	)
-	for attempt := 0; attempt < maxMineAttempts; attempt++ {
-		v, mErr, leader = s.flight.do(r.Context(), key, func() (*cachedResult, error) {
-			return s.runMine(r.Context(), ent, o, key, rec)
-		})
-		if mErr == nil {
-			break
-		}
-		// A follower whose leader was cancelled retries while its own
-		// request is still live; one of the retrying followers becomes
-		// the next leader. Shed and drain outcomes are shared as-is.
-		var cerr *core.CancelError
-		if !leader && errors.As(mErr, &cerr) && r.Context().Err() == nil {
-			continue
-		}
-		break
-	}
-
-	switch {
-	case mErr == nil:
-		if !leader {
-			rec.outcome, rec.cached = "coalesced", true
-			rec.inherit(v)
-		}
-		rec.patterns = len(v.patterns)
-		s.writeMineResponse(w, ent, req, v, !leader, start)
-	case errors.Is(mErr, errShed):
-		s.metrics.shed.Add(1)
-		rec.deny("shed", http.StatusTooManyRequests)
-		w.Header().Set("Retry-After", "1")
-		s.writeError(w, http.StatusTooManyRequests, mErr.Error())
-	case errors.Is(mErr, errDraining):
-		rec.deny("draining", http.StatusServiceUnavailable)
-		s.writeError(w, http.StatusServiceUnavailable, mErr.Error())
-	case r.Context().Err() != nil:
-		// The client cancelled or disconnected; it won't read this, but
-		// record the outcome for logs and metrics.
-		s.metrics.cancelled.Add(1)
-		rec.deny("cancelled", statusClientClosedRequest)
-		s.writeError(w, statusClientClosedRequest, "client cancelled request")
-	case errors.Is(mErr, context.DeadlineExceeded):
-		s.metrics.timeouts.Add(1)
-		rec.deny("timeout", http.StatusServiceUnavailable)
-		s.writeError(w, http.StatusServiceUnavailable,
-			fmt.Sprintf("mine exceeded the server-side time limit of %v", s.cfg.MineTimeout))
-	default:
-		rec.deny("error", http.StatusInternalServerError)
-		s.fail(w, http.StatusInternalServerError, "mining failed: %v", mErr)
-	}
-}
-
-// runMine is the single-flight leader path: drain accounting, admission,
-// the optional server-side deadline, the mine itself (phase-traced), and
-// cache fill. rec is the leader's access record; queue wait and mine time
-// land there as they become known.
-func (s *Server) runMine(ctx context.Context, ent *dbEntry, o core.Options, key cacheKey, rec *accessRecord) (*cachedResult, error) {
-	if err := s.beginMine(); err != nil {
-		return nil, err
-	}
-	defer s.endMine()
-
-	queued := now()
-	err := s.adm.acquire(ctx)
-	rec.queueWait = time.Since(queued)
-	if err != nil {
-		return nil, err
-	}
-	defer s.adm.release()
-
-	mctx := ctx
-	if s.cfg.MineTimeout > 0 {
-		var cancel context.CancelFunc
-		mctx, cancel = context.WithTimeout(ctx, s.cfg.MineTimeout)
-		defer cancel()
-	}
-	// Stamp the request's ID on the mining context: in peers mode the shard
-	// client forwards it to every peer (request body and X-Request-Id), so
-	// the coordinator's and the peers' journals join on one ID. The pprof
-	// labels make any continuous-profiling CPU capture taken during the run
-	// attribute its samples to this request and database.
-	mctx = obs.WithRequestID(mctx, rec.id)
-	mctx = obs.WithMineLabels(mctx, rec.id, fmt.Sprintf("%016x", ent.fp))
-
-	// Each executed mine gets its own trace so the per-phase histograms
-	// see per-run attributions, not a shared running total. With the
-	// journal on, the trace additionally retains a bounded span timeline —
-	// the run's flight record, downloadable from /debug/requests/trace.
-	o.Trace = obs.NewTrace()
-	var tl *obs.Timeline
-	if s.journal != nil && s.cfg.TimelineSpans >= 0 {
-		tl = obs.NewTimeline(s.cfg.TimelineSpans)
-		o.Trace.AttachTimeline(tl)
-	}
-	begin := now()
-	cost0 := prof.ReadCost()
-	var (
-		res     *core.Result
-		partial bool
-		failed  []int
-	)
-	if s.coord != nil {
-		// Peers mode: scatter the mine over the shard peers. The gathered
-		// result is byte-identical to the local mineFn path unless shards
-		// failed under a best-effort policy.
-		sres, serr := s.coord.Mine(mctx, ent.db, o)
-		if serr != nil {
-			return nil, serr
-		}
-		res, partial, failed = sres.Result, sres.Partial, sres.FailedShards
+		c.rec.outcome = "cache-hit"
 	} else {
-		var merr error
-		res, merr = s.mineFn(mctx, ent.db, o)
-		if merr != nil {
-			return nil, merr
+		s.metrics.cacheMisses.Add(1)
+		var (
+			err    error
+			leader bool
+		)
+		for attempt := 0; attempt < maxMineAttempts; attempt++ {
+			v, err, leader = s.flight.do(r.Context(), key, func() (*cachedResult, error) {
+				return s.mineAndCache(c, ent, o, key)
+			})
+			// A follower whose leader was cancelled retries while its own
+			// request is still live; one of the retrying followers becomes
+			// the next leader. Shed and drain outcomes are shared as-is.
+			var cerr *core.CancelError
+			if err == nil || leader || !errors.As(err, &cerr) || r.Context().Err() != nil {
+				break
+			}
+		}
+		if err != nil {
+			c.failRun(err)
+			return
+		}
+		if cached = !leader; cached {
+			c.rec.outcome = "coalesced"
 		}
 	}
-	d := time.Since(begin)
-	// Process-counter deltas around the mining section: exact while one
-	// mine runs at a time, an upper bound when mines overlap (the journal
-	// and docs say so). CPU is rusage-based, so it includes all worker
-	// goroutines' time, which is the point.
-	cost := prof.ReadCost().Sub(cost0)
-	rec.mineTime = d
-	rec.allocBytes, rec.cpuTime = cost.AllocBytes, cost.CPU
-	report := o.Trace.Report()
-	s.metrics.observeMineTime(d)
-	s.metrics.observeTrace(report)
-	s.metrics.observeCost(cost.AllocBytes, cost.CPU)
-	rec.report, rec.timeline = report, tl.Snapshot()
-
-	v := &cachedResult{
-		patterns:     api.PatternsFromCore(ent.db, res.Patterns),
-		stats:        res.Stats,
-		partial:      partial,
-		failedShards: failed,
-		mineTime:     d,
-		report:       rec.report,
-		timeline:     rec.timeline,
-		allocBytes:   cost.AllocBytes,
-		cpuTime:      cost.CPU,
+	if cached {
+		c.rec.cached = true
+		c.rec.inherit(v)
 	}
-	if !partial {
-		// A partial result is one outage away from being wrong twice: never
-		// let it satisfy later requests from the cache.
-		s.cache.put(key, v)
-	}
-	return v, nil
-}
-
-func (s *Server) writeMineResponse(w http.ResponseWriter, ent *dbEntry, req *api.MineRequest, v *cachedResult, cached bool, start time.Time) {
+	c.rec.patterns = len(v.patterns)
 	resp := api.MineResponse{
 		V:            api.Version,
 		DB:           ent.name,
 		Count:        len(v.patterns),
 		Cached:       cached,
-		ElapsedMS:    float64(time.Since(start)) / 1e6,
+		ElapsedMS:    float64(time.Since(c.start)) / 1e6,
 		MiningMS:     float64(v.mineTime) / 1e6,
 		Partial:      v.partial,
 		FailedShards: v.failedShards,
@@ -750,224 +769,131 @@ func (s *Server) writeMineResponse(w http.ResponseWriter, ent *dbEntry, req *api
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// handleShardMine executes one shard task of a scatter-gather mine: the
-// request addresses the database by content fingerprint (the coordinator
-// doesn't know or care what this peer named it), the task's rank slice is
-// mined under the same admission control and drain accounting as a full
-// mine, and nothing is cached — the coordinator owns the merged result's
-// lifecycle.
-//
-// Trace context flows both ways: the task is journalled under the
-// coordinator's propagated request ID (X-Request-Id header, body fallback)
-// so /debug/requests joins across the fleet, and when the task asks for a
-// trace the peer records its run's span timeline — admission wait included —
-// and returns it with its per-phase report and handling time for the
-// coordinator to graft.
-func (s *Server) handleShardMine(w http.ResponseWriter, r *http.Request) {
-	start := now()
-	s.metrics.shardRequests.Add(1)
-	rec := &accessRecord{id: r.Header.Get("X-Request-Id"), outcome: "shard-ok", status: http.StatusOK}
-	defer func() {
-		if rec.id == "" {
-			rec.id = obs.RequestID()
-		}
-		elapsed := time.Since(start)
-		s.cfg.Logger.Info("shard-mine",
-			"id", rec.id, "db", rec.db, "fp", rec.fp, "opts", rec.opts,
-			"outcome", rec.outcome, "status", rec.status,
-			"patterns", rec.patterns,
-			"queueMS", float64(rec.queueWait)/1e6,
-			"mineMS", float64(rec.mineTime)/1e6,
-			"allocBytes", rec.allocBytes,
-			"cpuMS", float64(rec.cpuTime)/1e6,
-			"elapsedMS", float64(elapsed)/1e6)
-		s.journalRecord(rec, start, elapsed)
-	}()
-	body := r.Body
-	if s.cfg.MaxBody > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
-	}
-	req, err := api.DecodeShardMineRequest(body)
+// mineAndCache is the single-flight leader's run of /v1/mine. Each
+// executed mine gets its own trace so the per-phase histograms see per-run
+// attributions; with the journal on it also keeps a span timeline — the
+// run's flight record, downloadable from /debug/requests/trace.
+func (s *Server) mineAndCache(c *mineCall, ent *dbEntry, o core.Options, key cacheKey) (*cachedResult, error) {
+	res, err := c.run(o, s.journal != nil && s.cfg.TimelineSpans >= 0,
+		func(ctx context.Context, o core.Options) (*shard.Result, error) {
+			if s.coord != nil {
+				// Peers mode: the gathered result is byte-identical to the
+				// local path unless shards failed under best-effort.
+				return s.coord.Mine(ctx, ent.db, o)
+			}
+			res, err := s.mineFn(ctx, ent.db, o)
+			return &shard.Result{Result: res}, err
+		})
 	if err != nil {
-		rec.deny("bad-request", http.StatusBadRequest)
-		s.fail(w, http.StatusBadRequest, "decoding shard request: %v", err)
+		return nil, err
+	}
+	s.metrics.observeMineTime(c.rec.mineTime)
+	s.metrics.observeTrace(c.rec.report)
+	v := &cachedResult{
+		patterns:     api.PatternsFromCore(ent.db, res.Patterns),
+		stats:        res.Stats,
+		partial:      res.Partial,
+		failedShards: res.FailedShards,
+		mineTime:     c.rec.mineTime,
+		report:       c.rec.report,
+		timeline:     c.rec.timeline,
+		allocBytes:   c.rec.allocBytes,
+		cpuTime:      c.rec.cpuTime,
+	}
+	if !res.Partial {
+		// A partial result is one outage away from being wrong twice: never
+		// let it satisfy later requests from the cache.
+		s.cache.put(key, v)
+	}
+	return v, nil
+}
+
+// handleShardMine adapts the pipeline to POST /v1/shard/mine, one shard
+// task of a scatter-gather mine: the task's rank slice is mined under the
+// same admission control and drain accounting as a full mine, and nothing
+// is cached — the coordinator owns the merged result's lifecycle. Shard
+// tasks count in the shard and cost metrics only, never as whole mines.
+//
+// Trace context flows both ways: the task is journalled, and labelled for
+// profiles, under the coordinator's propagated request ID (X-Request-Id
+// header, body fallback, else a minted one), so /debug/requests joins
+// across the fleet; and when the task asks for a trace the peer returns
+// its span timeline — admission wait included — with its per-phase report
+// and handling time for the coordinator to graft.
+func (s *Server) handleShardMine(w http.ResponseWriter, r *http.Request) {
+	s.metrics.shardRequests.Add(1)
+	id := r.Header.Get("X-Request-Id")
+	c := s.newCall(w, r, "shard-mine", "shard-ok", id)
+	defer c.finish()
+	req, ok := decodeBody(c, api.DecodeShardMineRequest)
+	if !ok {
 		return
 	}
-	if rec.id == "" {
-		rec.id = req.RequestID
+	if id == "" && req.RequestID != "" {
+		c.rec.id = req.RequestID
 	}
 	spec := core.ShardSpec{Index: req.Shard, Count: req.Shards}
-	if err := spec.Validate(); err != nil {
-		rec.deny("bad-request", http.StatusBadRequest)
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
+	err := spec.Validate()
+	if err == nil && req.DB == "" && req.Dataset == "" && req.Fingerprint == "" {
+		err = errors.New("serve: shard request must address a database (fingerprint, db or dataset)")
 	}
-	ent, status, err := s.resolveShardTarget(req)
 	if err != nil {
-		rec.deny("unknown-db", status)
-		s.fail(w, status, "%v", err)
+		c.fail("bad-request", http.StatusBadRequest, "%v", err)
 		return
 	}
-	rec.db, rec.fp = ent.name, fmt.Sprintf("%016x", ent.fp)
-	o, err := req.ToCoreOptions(ent.db.Len())
+	ent, o, ok := c.target(&req.MineRequest, req.Fingerprint)
+	if !ok {
+		return
+	}
+	c.rec.opts += fmt.Sprintf(",shard=%d/%d", req.Shard, req.Shards)
+
+	traced := req.Trace && s.cfg.TimelineSpans >= 0
+	res, err := c.run(o, traced, func(ctx context.Context, o core.Options) (*shard.Result, error) {
+		res, err := s.shardFn(ctx, ent.db, o, spec)
+		return &shard.Result{Result: res}, err
+	})
 	if err != nil {
-		rec.deny("invalid-options", http.StatusBadRequest)
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if o.Parallelism > s.cfg.MaxParallelism {
-		o.Parallelism = s.cfg.MaxParallelism
-	}
-	rec.opts = fmt.Sprintf("%s,shard=%d/%d", optionsDigest(o), req.Shard, req.Shards)
-
-	// The trace (and, when requested, the timeline) is created before
-	// admission so the peer's flight record starts at request arrival and
-	// the slot wait shows up as its own span, exactly what the coordinator's
-	// clock alignment expects ElapsedNS to cover.
-	o.Trace = obs.NewTrace()
-	var tl *obs.Timeline
-	if req.Trace && s.cfg.TimelineSpans >= 0 {
-		tl = obs.NewTimeline(s.cfg.TimelineSpans)
-		o.Trace.AttachTimeline(tl)
-	}
-
-	if err := s.beginMine(); err != nil {
-		rec.deny("draining", http.StatusServiceUnavailable)
-		s.writeError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-	defer s.endMine()
-	queued := now()
-	if err := s.adm.acquire(r.Context()); err != nil {
-		rec.queueWait = time.Since(queued)
-		if errors.Is(err, errShed) {
-			s.metrics.shed.Add(1)
-			rec.deny("shed", http.StatusTooManyRequests)
-			w.Header().Set("Retry-After", "1")
-			s.writeError(w, http.StatusTooManyRequests, err.Error())
-			return
-		}
-		s.metrics.cancelled.Add(1)
-		rec.deny("cancelled", statusClientClosedRequest)
-		s.writeError(w, statusClientClosedRequest, "client cancelled request")
-		return
-	}
-	defer s.adm.release()
-	rec.queueWait = time.Since(queued)
-	tl.RecordSpan("queue", "", queued, rec.queueWait)
-
-	mctx := r.Context()
-	if s.cfg.MineTimeout > 0 {
-		var cancel context.CancelFunc
-		mctx, cancel = context.WithTimeout(mctx, s.cfg.MineTimeout)
-		defer cancel()
-	}
-	// Label the shard task with the coordinator's propagated request ID, so
-	// a profile captured on this peer attributes samples to the same ID the
-	// fleet's journals join on.
-	mctx = obs.WithMineLabels(mctx, rec.id, fmt.Sprintf("%016x", ent.fp))
-	begin := now()
-	cost0 := prof.ReadCost()
-	res, err := core.MineShardContext(mctx, ent.db, o, spec)
-	if err != nil {
-		switch {
-		case r.Context().Err() != nil:
-			s.metrics.cancelled.Add(1)
-			rec.deny("cancelled", statusClientClosedRequest)
-			s.writeError(w, statusClientClosedRequest, "client cancelled request")
-		case errors.Is(err, context.DeadlineExceeded):
-			s.metrics.timeouts.Add(1)
-			rec.deny("timeout", http.StatusServiceUnavailable)
-			s.writeError(w, http.StatusServiceUnavailable,
-				fmt.Sprintf("shard mine exceeded the server-side time limit of %v", s.cfg.MineTimeout))
-		default:
-			rec.deny("error", http.StatusInternalServerError)
-			s.fail(w, http.StatusInternalServerError, "shard mining failed: %v", err)
-		}
+		c.failRun(err)
 		return
 	}
 	s.metrics.shardMined.Add(1)
-	cost := prof.ReadCost().Sub(cost0)
-	rec.mineTime = time.Since(begin)
-	rec.allocBytes, rec.cpuTime = cost.AllocBytes, cost.CPU
-	rec.patterns = len(res.Patterns)
-	rec.report = o.Trace.Report()
-	s.metrics.observeCost(cost.AllocBytes, cost.CPU)
+	c.rec.patterns = len(res.Patterns)
 	resp := api.ShardMineResponse{
 		V:           api.Version,
-		Fingerprint: fmt.Sprintf("%016x", ent.fp),
+		Fingerprint: c.rec.fp,
 		Shard:       req.Shard,
 		Shards:      req.Shards,
 		Count:       len(res.Patterns),
-		MiningMS:    float64(rec.mineTime) / 1e6,
+		MiningMS:    float64(c.rec.mineTime) / 1e6,
 		Patterns:    api.PatternsFromCore(ent.db, res.Patterns),
 		Stats:       &res.Stats,
-		Phases:      activePhases(rec.report),
+		Phases:      activePhases(c.rec.report),
 	}
-	if tl != nil {
-		rec.timeline = tl.Snapshot()
-		resp.Timeline = &rec.timeline
+	if traced {
+		resp.Timeline = &c.rec.timeline
 		// ElapsedNS is stamped as late as possible: it is the peer-handling
 		// width the coordinator centers inside its send→receive window.
-		resp.ElapsedNS = int64(time.Since(start))
+		resp.ElapsedNS = int64(time.Since(c.start))
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// resolveShardTarget resolves a shard task's database. Fingerprint is the
-// canonical address (searched across preloaded databases and the
-// registry); db/dataset naming also works, but a named database whose
-// bytes don't match a supplied fingerprint is refused — shards of one mine
-// must agree on content, not on names.
-func (s *Server) resolveShardTarget(req *api.ShardMineRequest) (*dbEntry, int, error) {
-	var ent *dbEntry
-	switch {
-	case req.Dataset != "" && req.DB != "":
-		return nil, http.StatusBadRequest, errors.New("serve: set db or dataset, not both")
-	case req.Dataset != "":
-		var status int
-		var err error
-		if ent, status, err = s.lookupDataset(req.Dataset); err != nil {
-			return nil, status, err
-		}
-	case req.DB != "":
-		var status int
-		var err error
-		if ent, status, err = s.lookupDB(req.DB); err != nil {
-			return nil, status, err
-		}
-	case req.Fingerprint != "":
-		fp, err := parseFingerprint(req.Fingerprint)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		for _, name := range s.names {
-			if s.dbs[name].fp == fp {
-				ent = s.dbs[name]
-				break
-			}
-		}
-		if ent == nil {
-			if ent, _, err = s.lookupDataset(req.Fingerprint); err != nil {
-				return nil, http.StatusNotFound,
-					fmt.Errorf("serve: no database with fingerprint %s", req.Fingerprint)
-			}
-		}
-	default:
-		return nil, http.StatusBadRequest,
-			errors.New("serve: shard request must address a database (fingerprint, db or dataset)")
+// lookupFingerprint resolves a bare content fingerprint against the
+// preloaded databases, then the registry.
+func (s *Server) lookupFingerprint(ref string) (*dbEntry, int, error) {
+	fp, err := parseFingerprint(ref)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
 	}
-	if req.Fingerprint != "" {
-		fp, err := parseFingerprint(req.Fingerprint)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		if ent.fp != fp {
-			return nil, http.StatusConflict, fmt.Errorf(
-				"serve: database %q has fingerprint %016x, task wants %s", ent.name, ent.fp, req.Fingerprint)
+	for _, name := range s.names {
+		if s.dbs[name].fp == fp {
+			return s.dbs[name], 0, nil
 		}
 	}
-	return ent, 0, nil
+	if ent, _, err := s.lookupDataset(ref); err == nil {
+		return ent, 0, nil
+	}
+	return nil, http.StatusNotFound, fmt.Errorf("serve: no database with fingerprint %s", ref)
 }
 
 // lookupDB resolves a request's database name; an empty name is allowed

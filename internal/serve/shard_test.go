@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime/pprof"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -204,6 +205,57 @@ func TestShardMineEndpointErrors(t *testing.T) {
 	s.BeginDrain()
 	if status, _ := postShard(t, hs.URL, fmt.Sprintf(`{"fingerprint":%q,"per":4,"minPS":3,"shard":0,"shards":2}`, fp)); status != http.StatusServiceUnavailable {
 		t.Errorf("draining: status %d, want 503", status)
+	}
+}
+
+// TestShardMineBodyTooLarge pins the shared decode stage on the shard
+// endpoint: an oversized body is a 413 body-too-large, as on /v1/mine,
+// not a plain 400.
+func TestShardMineBodyTooLarge(t *testing.T) {
+	_, hs := newTestServer(t, Config{MaxBody: 64}, nil)
+	status, m := postShard(t, hs.URL, strings.Repeat(" ", 256)+`{"db":"shop","per":4,"minPS":3,"shard":0,"shards":2}`)
+	if status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized shard body: status %d, body %v, want 413", status, m)
+	}
+	var jr struct {
+		Recent []*RequestEntry `json:"recent"`
+	}
+	waitFor(t, func() bool {
+		_, body := getBody(t, hs.URL+"/debug/requests?format=json")
+		decodeJSON(t, body, &jr)
+		return len(jr.Recent) == 1
+	})
+	if e := jr.Recent[0]; e.Outcome != "body-too-large" || e.Status != http.StatusRequestEntityTooLarge {
+		t.Errorf("journal entry = outcome %q status %d, want body-too-large 413", e.Outcome, e.Status)
+	}
+}
+
+// TestShardTaskLabelledWithJournalID checks that a shard task with no
+// propagated ID mines under the ID it is journalled with: the request_id
+// pprof label the executor sees must join the task's journal row.
+func TestShardTaskLabelledWithJournalID(t *testing.T) {
+	s, hs := newTestServer(t, Config{}, nil)
+	labels := make(chan string, 1)
+	s.shardFn = func(ctx context.Context, db *tsdb.DB, o core.Options, spec core.ShardSpec) (*core.Result, error) {
+		id, _ := pprof.Label(ctx, obs.LabelRequestID)
+		labels <- id
+		return core.MineShardContext(ctx, db, o, spec)
+	}
+	fp := fmt.Sprintf("%016x", testDB().Fingerprint())
+	if status, m := postShard(t, hs.URL, fmt.Sprintf(`{"fingerprint":%q,"per":4,"minPS":3,"shard":0,"shards":2}`, fp)); status != http.StatusOK {
+		t.Fatalf("shard task: status %d, body %v", status, m)
+	}
+	label := <-labels
+	var jr struct {
+		Recent []*RequestEntry `json:"recent"`
+	}
+	waitFor(t, func() bool {
+		_, body := getBody(t, hs.URL+"/debug/requests?format=json")
+		decodeJSON(t, body, &jr)
+		return len(jr.Recent) == 1
+	})
+	if id := jr.Recent[0].ID; label == "" || label != id {
+		t.Errorf("executor saw request_id label %q, task journalled as %q", label, id)
 	}
 }
 

@@ -64,8 +64,10 @@ grep -q '"mined": 1' <<<"$stats" || { echo "stats missing mined=1: $stats"; exit
 echo "== stats expose histogram bucket bounds"
 grep -q '"leNanos"' <<<"$stats" || { echo "stats buckets missing leNanos bounds: $stats"; exit 1; }
 
-echo "== expvar is served"
-grep -q '"rpserved"' <<<"$(curl -sf "http://$addr/debug/vars")"
+echo "== stats carry the runtime and cost sections"
+stats=$(curl -sf "http://$addr/v1/stats")
+grep -q '"heapInuseBytes"' <<<"$stats" || { echo "stats missing runtime heapInuseBytes: $stats"; exit 1; }
+grep -q '"requestAllocBytes"' <<<"$stats" || { echo "stats missing requestAllocBytes: $stats"; exit 1; }
 
 echo "== /metrics scrape"
 metrics=$(curl -sf "http://$addr/metrics")
